@@ -37,9 +37,10 @@ timeout 30 cargo run -q --release -p pto-bench --bin bank_transfer -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin order_book -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin compose_smoke -- --smoke
 
-echo "== 64-lane smoke: tournament-gate liveness + dual-profile golden makespans"
-# Gate invariants at server scale (64/256-lane sched tests) and the
-# 64-lane Haswell/NumaIsh golden pair; artifacts already built above, so
-# this re-targets the scale tests by name in seconds.
-cargo test -q -p pto-sim --lib lanes
+echo "== sim + wait-path tests: gate liveness, one-step waits, 64-lane goldens"
+# Every pto-sim unit test (gate invariants up to 256 lanes, the one-step
+# minimum-lane wait rule, observer parking), the 2-lane composed-anchor
+# waits, and the 64-lane Haswell/NumaIsh golden pair.
+cargo test -q -p pto-sim --lib
+cargo test -q -p pto-core --test compose_fallback
 cargo test -q --test golden_makespan golden_lane_private_64lane

@@ -70,17 +70,20 @@ thread_local! {
 /// table if one is installed, else the default Haswell table.
 #[inline]
 fn kind_cycles(kind: CostKind) -> u64 {
-    CTX.with(|ctx| {
-        let t = ctx.table.get();
-        if t.is_null() {
-            cost::cycles(kind)
-        } else {
-            // SAFETY: `t` points at a `'static` `CostTable` installed by
-            // `attach` (length `N_KINDS`); `kind as usize < N_KINDS` by
-            // construction (asserted over `ALL_KINDS` in cost tests).
-            unsafe { *t.add(kind as usize) }
-        }
-    })
+    CTX.with(|ctx| table_cycles(ctx, kind))
+}
+
+#[inline]
+fn table_cycles(ctx: &ThreadCtx, kind: CostKind) -> u64 {
+    let t = ctx.table.get();
+    if t.is_null() {
+        cost::cycles(kind)
+    } else {
+        // SAFETY: `t` points at a `'static` `CostTable` installed by
+        // `attach` (length `N_KINDS`); `kind as usize < N_KINDS` by
+        // construction (asserted over `ALL_KINDS` in cost tests).
+        unsafe { *t.add(kind as usize) }
+    }
 }
 
 /// Charge one event from the cost table to the current thread's clock.
@@ -138,57 +141,82 @@ fn gate_cross(ctx: &ThreadCtx, now: u64) {
 ///
 /// The virtual-time rule: **a wait costs the virtual duration of the
 /// wait, not one charge per time the OS scheduled the poll loop.** A
-/// waiter that charged a `SpinIter` on every physical iteration (the
-/// pre-PR 10 behavior) leaks wallclock scheduling into virtual time: the
-/// same seed produces different makespans run to run, and two lanes
-/// waiting on each other ratchet both clocks upward by a quantum per gate
-/// park, inflating a 100-op contended run into *billions* of virtual
-/// cycles. Instead, the tick charges a `SpinIter` only while this lane
-/// sits at the gate's published minimum — the minimum lane must keep
-/// virtual time flowing, or a holder parked ahead of it would never be
-/// released to finish its critical section — and otherwise publishes its
-/// clock and yields uncharged, letting the stragglers run. The total
-/// charged this way is bounded by (clock gap to the holder) + (the
-/// holder's remaining critical section), which is exactly what an
-/// 8-thread machine's spinner would burn in that window.
+/// waiter that charged a `SpinIter` on every physical iteration leaks
+/// wallclock scheduling into virtual time: the same seed produces
+/// different makespans run to run, and two lanes waiting on each other
+/// ratchet both clocks upward by a quantum per gate park, inflating a
+/// 100-op contended run into *billions* of virtual cycles.
 ///
-/// Every 64th uncharged poll runs the gate's exact-min backstop: the
-/// cheap root bound is a conservative (stale-low) estimate, and a waiter
-/// that trusted a stale bound while actually *being* the minimum would
-/// freeze virtual time for the whole machine.
+/// Instead, only the lane at the gate's minimum charges — it must keep
+/// virtual time flowing, or a holder parked ahead of it would never be
+/// released to finish its critical section. A waiter that is not the
+/// minimum publishes its clock and yields uncharged, letting the
+/// stragglers run.
+///
+/// Minimum membership is read from the cheap root bound, a conservative
+/// (stale-low) estimate, so every 64th uncharged poll runs the gate's
+/// exact-min scan instead: a waiter that trusted a stale bound while
+/// actually *being* the minimum would freeze virtual time for the whole
+/// machine. When the exact scan finds the waiter at the minimum, it
+/// advances **in one step**: a single `charge_n(SpinIter, k)`, with `k`
+/// the fewest whole `SpinIter`s that bring its clock to (min clock of the
+/// other lanes − quantum). That is exactly the point at which the gate
+/// releases the next lane, so the bound the rule keeps is: **a waiter
+/// never charges past the point that releases the next lane** (it
+/// overshoots by less than one `SpinIter`, like any single charge). The
+/// total charged is therefore (clock gap to the holder) + (the holder's
+/// remaining critical section), what a real machine's spinner would burn
+/// in that window. When that point is not ahead of the waiter, or every
+/// other lane has finished, it charges one `SpinIter`.
+///
+/// A waiter that the root bound already shows at the minimum charges one
+/// `SpinIter` and does not step. Stepping there too halves the host time
+/// of a contended composed run again, but it lets waiters track holders
+/// more closely in host time, which moves the anchored fallback's virtual
+/// throughput by 6–9% through the known anchor-release gap (DESIGN.md
+/// §10); that shift belongs with the fix for the gap.
 ///
 /// Threads not attached to a gate charge a plain `SpinIter` per call —
 /// with no peers or gate, the per-iteration model is the only cost
 /// available, and unit tests assert against it.
 pub fn spin_wait_tick() {
-    let must_charge = CTX.with(|ctx| {
+    let steps = CTX.with(|ctx| {
         let g = ctx.gate.get();
         if g.is_null() {
-            return true;
+            return 1;
         }
         // SAFETY: see `gate_cross`.
         let gate = unsafe { &*g };
+        let lane = ctx.lane.get();
         let now = ctx.clock.get();
         // Publish first (parking if this waiter is itself too far
         // ahead): an unpublished quantum of charges could leave this
         // lane pinned as everyone else's stale minimum.
-        gate.sync(ctx.lane.get(), now);
+        gate.sync(lane, now);
         if now <= gate.root_bound() {
             ctx.wait_polls.set(0);
-            return true;
+            return 1;
         }
         let polls = ctx.wait_polls.get().wrapping_add(1);
         ctx.wait_polls.set(polls);
-        if polls.is_multiple_of(64) && now <= gate.exact_min_and_publish() {
-            ctx.wait_polls.set(0);
-            return true;
+        if !polls.is_multiple_of(64) || now > gate.exact_min_and_publish() {
+            return 0;
         }
-        false
+        ctx.wait_polls.set(0);
+        // The exact scan found this lane at the minimum: step to the next
+        // lane's release point. Other clocks only rise, so the scanned
+        // target never overshoots it.
+        let others = gate.min_other(lane);
+        let target = others.saturating_sub(gate.quantum());
+        if others == u64::MAX || target <= now {
+            return 1;
+        }
+        (target - now).div_ceil(table_cycles(ctx, CostKind::SpinIter))
     });
-    if must_charge {
-        charge(CostKind::SpinIter);
-    } else {
+    if steps == 0 {
         std::thread::yield_now();
+    } else {
+        charge_n(CostKind::SpinIter, steps);
     }
 }
 
@@ -269,6 +297,8 @@ pub(crate) fn detach() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{Sim, DEFAULT_QUANTUM};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     #[test]
     fn charges_accumulate() {
@@ -336,5 +366,95 @@ mod tests {
         charge_n(CostKind::Cas, u64::MAX / 2);
         assert_eq!(now(), u64::MAX);
         reset();
+    }
+
+    /// Yield, without ticking, until every other lane of the calling
+    /// (attached) lane's gate has published a clock of at least `clock`.
+    fn await_peers_at(clock: u64) {
+        CTX.with(|ctx| {
+            let keep = ctx.gate_keep.borrow();
+            let gate = keep.as_ref().expect("called from an attached lane");
+            while gate.min_other(ctx.lane.get()) < clock {
+                std::thread::yield_now();
+            }
+        });
+    }
+
+    #[test]
+    fn minimum_waiter_reaches_a_parked_holder_in_one_step() {
+        // Lane 1 charges far ahead in one go and parks at the gate until
+        // lane 0 catches up; lane 0 spin-waits on lane 1's flag. One
+        // SpinIter per exact scan needed ~530k ticks here; the one-step
+        // rule releases the holder at the first exact scan.
+        //
+        // Only the ticks that bring lane 0 to the release point are
+        // counted: they depend on virtual time alone. Lane 0 starts once
+        // lane 1 has parked, and the uncharged ticks it makes after the
+        // release last as long as the OS takes to run lane 1 again.
+        const RELEASE: u64 = 100_000 - DEFAULT_QUANTUM;
+        let done = AtomicBool::new(false);
+        let ticks = AtomicU64::new(0);
+        let out = Sim::new(2).run(|lane| {
+            if lane == 1 {
+                charge_cycles(100_000);
+                done.store(true, Ordering::Release);
+            } else {
+                await_peers_at(100_000);
+                while !done.load(Ordering::Acquire) {
+                    if now() < RELEASE {
+                        ticks.fetch_add(1, Ordering::Relaxed);
+                    }
+                    spin_wait_tick();
+                }
+            }
+        });
+        let ticks = ticks.load(Ordering::Relaxed);
+        assert!(ticks <= 4_096, "the waiter took {ticks} ticks to release the holder");
+        assert_eq!(out.per_thread[1], 100_000);
+        assert!(
+            out.per_thread[0] >= RELEASE,
+            "the wait cost {} cycles, less than its virtual duration",
+            out.per_thread[0]
+        );
+    }
+
+    #[test]
+    fn detached_thread_charges_one_spin_iter_per_tick() {
+        std::thread::spawn(|| {
+            reset();
+            for i in 1..=100 {
+                spin_wait_tick();
+                assert_eq!(now(), i * cost::cycles(CostKind::SpinIter));
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn waiter_without_live_peers_charges_one_spin_iter_per_tick() {
+        // Lanes 1 and 2 finish at once; lane 0 then waits alone. With no
+        // lane left to release there is no target to step to: a charged
+        // tick is one SpinIter, never a jump toward the finished lanes'
+        // `MAX`. (Ticks that find the root bound stale stay uncharged
+        // until the exact scan, as for any waiter.)
+        let spin = cost::cycles(CostKind::SpinIter);
+        let out = Sim::new(3).run(|lane| {
+            if lane != 0 {
+                return;
+            }
+            await_peers_at(u64::MAX);
+            let mut charged = 0;
+            while charged < 100 {
+                let before = now();
+                spin_wait_tick();
+                match now() - before {
+                    0 => {}
+                    d if d == spin => charged += 1,
+                    d => panic!("a tick charged {d} cycles with no live peer"),
+                }
+            }
+        });
+        assert_eq!(out.per_thread[0], 100 * spin);
     }
 }

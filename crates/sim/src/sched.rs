@@ -199,6 +199,20 @@ impl Gate {
             .unwrap_or(u64::MAX)
     }
 
+    /// Exact O(lanes) minimum over every real lane except `lane` —
+    /// `u64::MAX` when all the others have finished. Wait path only
+    /// ([`crate::spin_wait_tick`]): it tells the minimum waiter how far
+    /// it may advance before it would pass the next lane's release point.
+    pub(crate) fn min_other(&self, lane: usize) -> u64 {
+        self.clocks
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != lane)
+            .map(|(_, c)| c.load(Ordering::SeqCst))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Exact scan, published to the root. Returns the scanned min.
     ///
     /// The conservativeness debug assertion reads the root *before* the

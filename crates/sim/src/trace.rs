@@ -938,12 +938,15 @@ mod tests {
         let _g = serial();
         let session = TraceSession::arm();
         emit(EventKind::EpochAdvance { epoch: 484_848 });
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                emit(EventKind::TxBegin { rv: 11 });
-                emit(EventKind::TxAbort { cause: 4 });
-            });
-        });
+        // A plain `join` waits for the thread to exit, TLS destructors
+        // included; a `thread::scope` join returns before they park the
+        // track, so the drain below could miss it.
+        std::thread::spawn(|| {
+            emit(EventKind::TxBegin { rv: 11 });
+            emit(EventKind::TxAbort { cause: 4 });
+        })
+        .join()
+        .unwrap();
         let trace = session.drain();
         assert!(trace.any(|k| k == EventKind::TxBegin { rv: 11 }));
         assert!(trace.any(|k| k == EventKind::TxAbort { cause: 4 }));
