@@ -5,8 +5,8 @@ cd "$(dirname "$0")/.."
 
 ./ci/check_hermetic.sh
 
-echo "== lint: cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== lint: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -37,10 +37,14 @@ timeout 30 cargo run -q --release -p pto-bench --bin bank_transfer -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin order_book -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin compose_smoke -- --smoke
 
-echo "== sim + wait-path tests: gate liveness, one-step waits, 64-lane goldens"
+echo "== sim + core tests: gate liveness, one-step waits, the executor, 64-lane goldens"
 # Every pto-sim unit test (gate invariants up to 256 lanes, the one-step
-# minimum-lane wait rule, observer parking), the 2-lane composed-anchor
-# waits, and the 64-lane Haswell/NumaIsh golden pair.
+# minimum-lane wait rule, observer parking), all of pto-core (executor
+# unit tests, doctests, and the 2-lane composed-anchor waits), and the
+# 64-lane Haswell/NumaIsh golden pair.
 cargo test -q -p pto-sim --lib
-cargo test -q -p pto-core --test compose_fallback
+cargo test -q -p pto-core
 cargo test -q --test golden_makespan golden_lane_private_64lane
+
+echo "== lincheck matrix: every structure variant, adaptive-middle and composed included"
+cargo test -q --release -p pto-check --test lincheck

@@ -29,7 +29,7 @@
 //! Keys are `u32` with `u32::MAX` reserved as the +∞ sentinel.
 
 use pto_core::compose::Anchor;
-use pto_core::policy::{pto, pto_adaptive, AdaptivePolicy, PtoPolicy, PtoStats};
+use pto_core::policy::{AdaptivePolicy, Exec, PtoPolicy, PtoStats};
 use pto_core::ConcurrentSet;
 use pto_htm::{TxResult, TxWord, Txn};
 use pto_mem::epoch::{self, Guard};
@@ -181,11 +181,10 @@ pub struct Bst {
     nodes: Pool<BstNode>,
     infos: Pool<Info>,
     variant: BstVariant,
-    p1: PtoPolicy,
-    p2: PtoPolicy,
-    /// Adaptive wrappers around `p1`/`p2` (used by [`BstVariant::Adaptive`]).
-    a1: AdaptivePolicy,
-    a2: AdaptivePolicy,
+    /// How the outer (PTO1 / whole-op) prefixes run.
+    x1: Exec,
+    /// How the inner (PTO2 / update-phase) prefixes run.
+    x2: Exec,
     /// Outer (PTO1 / whole-op) path statistics.
     pub stats1: PtoStats,
     /// Inner (PTO2 / update-phase) path statistics.
@@ -237,14 +236,19 @@ impl Bst {
         r.left.init(l0 as u64);
         r.right.init(l1 as u64);
         r.update.init(up_pack(ST_CLEAN, NIL, 0));
+        let (x1, x2) = match variant {
+            BstVariant::Adaptive => (
+                Exec::Adaptive(AdaptivePolicy::new(p1)),
+                Exec::Adaptive(AdaptivePolicy::new(p2)),
+            ),
+            _ => (Exec::Static(p1), Exec::Static(p2)),
+        };
         Bst {
             nodes,
             infos: Pool::new(),
             variant,
-            p1,
-            p2,
-            a1: AdaptivePolicy::new(p1),
-            a2: AdaptivePolicy::new(p2),
+            x1,
+            x2,
             stats1: PtoStats::new(),
             stats2: PtoStats::new(),
             grandroot,
@@ -257,8 +261,8 @@ impl Bst {
     /// taken from the wrappers.
     pub fn with_adaptive(a1: AdaptivePolicy, a2: AdaptivePolicy) -> Self {
         let mut t = Self::with_policies(BstVariant::Adaptive, a1.base, a2.base);
-        t.a1 = a1;
-        t.a2 = a2;
+        t.x1 = Exec::Adaptive(a1);
+        t.x2 = Exec::Adaptive(a2);
         t
     }
 
@@ -703,8 +707,10 @@ impl Bst {
             Ok(s) => s,
             Err(done) => return done,
         };
-        pto(
-            &self.p2,
+        // The update-phase prefix is purely transactional (node
+        // configuration already happened in the preamble), so an adaptive
+        // middle path is safe here.
+        self.x2.run(
             &self.stats2,
             |tx| self.tx_insert_update(tx, &s, ni),
             || self.lf_insert_attempt(k, &s, ni, nl),
@@ -717,39 +723,7 @@ impl Bst {
             Ok(s) => s,
             Err(done) => return done,
         };
-        pto(
-            &self.p2,
-            &self.stats2,
-            |tx| self.tx_delete_update(tx, &s),
-            || self.lf_delete_attempt(k, &s),
-        )
-    }
-
-    /// PTO2 insert attempt under the self-tuning policy. The update-phase
-    /// prefix is purely transactional (node configuration already happened
-    /// in the preamble), so the middle path is safe here.
-    fn pto2_insert_attempt_adaptive(&self, k: u32, ni: u32, nl: u32) -> Attempt {
-        let g = epoch::pin();
-        let s = match self.pto2_insert_prepare(k, ni, nl, &g) {
-            Ok(s) => s,
-            Err(done) => return done,
-        };
-        pto_adaptive(
-            &self.a2,
-            &self.stats2,
-            |tx| self.tx_insert_update(tx, &s, ni),
-            || self.lf_insert_attempt(k, &s, ni, nl),
-        )
-    }
-
-    fn pto2_delete_attempt_adaptive(&self, k: u32) -> Attempt {
-        let g = epoch::pin();
-        let s = match self.pto2_delete_prepare(k, &g) {
-            Ok(s) => s,
-            Err(done) => return done,
-        };
-        pto_adaptive(
-            &self.a2,
+        self.x2.run(
             &self.stats2,
             |tx| self.tx_delete_update(tx, &s),
             || self.lf_delete_attempt(k, &s),
@@ -785,30 +759,25 @@ impl Bst {
         loop {
             let attempt = match self.variant {
                 BstVariant::LockFree => self.lf_insert_loop(k, ni, nl),
-                BstVariant::Pto1 => pto(
-                    &self.p1,
+                BstVariant::Pto1 => self.x1.run(
                     &self.stats1,
                     |tx| self.tx_insert_whole(tx, k, ni, nl),
                     || self.lf_insert_loop(k, ni, nl),
                 ),
                 BstVariant::Pto2 => self.pto2_insert_attempt(k, ni, nl),
-                BstVariant::Pto1Pto2 => pto(
-                    &self.p1,
-                    &self.stats1,
-                    |tx| self.tx_insert_whole(tx, k, ni, nl),
-                    || self.pto2_insert_attempt(k, ni, nl),
-                ),
-                BstVariant::Adaptive => {
+                BstVariant::Pto1Pto2 | BstVariant::Adaptive => {
                     // The whole-op insert prefix initializes private nodes
                     // non-transactionally; keep the middle path disarmed at
                     // this site (see `BstVariant::Adaptive` docs). The inner
                     // PTO2 stage still gets its middle path.
-                    let a1 = self.a1.with_middle_streak(u32::MAX);
-                    pto_adaptive(
-                        &a1,
+                    let x1 = match self.x1 {
+                        Exec::Adaptive(ap) => Exec::Adaptive(ap.with_middle_streak(u32::MAX)),
+                        x => x,
+                    };
+                    x1.run(
                         &self.stats1,
                         |tx| self.tx_insert_whole(tx, k, ni, nl),
-                        || self.pto2_insert_attempt_adaptive(k, ni, nl),
+                        || self.pto2_insert_attempt(k, ni, nl),
                     )
                 }
             };
@@ -831,24 +800,16 @@ impl Bst {
         loop {
             let attempt = match self.variant {
                 BstVariant::LockFree => self.lf_delete_loop(k),
-                BstVariant::Pto1 => pto(
-                    &self.p1,
+                BstVariant::Pto1 => self.x1.run(
                     &self.stats1,
                     |tx| self.tx_delete_whole(tx, k),
                     || self.lf_delete_loop(k),
                 ),
                 BstVariant::Pto2 => self.pto2_delete_attempt(k),
-                BstVariant::Pto1Pto2 => pto(
-                    &self.p1,
+                BstVariant::Pto1Pto2 | BstVariant::Adaptive => self.x1.run(
                     &self.stats1,
                     |tx| self.tx_delete_whole(tx, k),
                     || self.pto2_delete_attempt(k),
-                ),
-                BstVariant::Adaptive => pto_adaptive(
-                    &self.a1,
-                    &self.stats1,
-                    |tx| self.tx_delete_whole(tx, k),
-                    || self.pto2_delete_attempt_adaptive(k),
                 ),
             };
             match attempt {
@@ -911,17 +872,7 @@ impl Bst {
                 let g = epoch::pin();
                 self.lf_lookup(k, &g)
             }
-            BstVariant::Pto1 | BstVariant::Pto1Pto2 => pto(
-                &self.p1,
-                &self.stats1,
-                |tx| self.tx_lookup(tx, k),
-                || {
-                    let g = epoch::pin();
-                    self.lf_lookup(k, &g)
-                },
-            ),
-            BstVariant::Adaptive => pto_adaptive(
-                &self.a1,
+            BstVariant::Pto1 | BstVariant::Pto1Pto2 | BstVariant::Adaptive => self.x1.run(
                 &self.stats1,
                 |tx| self.tx_lookup(tx, k),
                 || {

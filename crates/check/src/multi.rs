@@ -47,7 +47,7 @@ use crate::spec::{Op, Ret, SeqSpec, SetSpec};
 use crate::spec::fnv_fold;
 use crate::wgl::{check, CheckOpts, GHistOp, GHistory, GVerdict, GWitness};
 use pto_core::{
-    AdaptivePolicy, ComposeMode, Composed, ConcurrentSet, FifoQueue, PriorityQueue, PtoPolicy,
+    AdaptivePolicy, Composed, ConcurrentSet, Exec, FifoQueue, PriorityQueue, PtoPolicy,
 };
 use pto_hashtable::{FSetHashTable, HashVariant};
 use pto_mem::epoch;
@@ -288,11 +288,11 @@ pub enum ComposedVariant {
 }
 
 impl ComposedVariant {
-    fn mode(self) -> ComposeMode {
+    fn mode(self) -> Exec {
         match self {
-            ComposedVariant::Pto => ComposeMode::Static(PtoPolicy::default()),
-            ComposedVariant::Fallback => ComposeMode::Static(PtoPolicy::with_attempts(0)),
-            ComposedVariant::Adaptive => ComposeMode::Adaptive(
+            ComposedVariant::Pto => Exec::Static(PtoPolicy::default()),
+            ComposedVariant::Fallback => Exec::Static(PtoPolicy::with_attempts(0)),
+            ComposedVariant::Adaptive => Exec::Adaptive(
                 AdaptivePolicy::new(PtoPolicy::with_attempts(1)).with_middle_streak(1),
             ),
         }

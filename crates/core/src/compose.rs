@@ -45,15 +45,14 @@
 //! ops included (their "prefix" is the structure's own transactional
 //! half; their fallback acquires just their own anchor).
 //!
-//! Adaptive integration: [`Composed::run`] is `#[track_caller]`, so under
-//! [`ComposeMode::Adaptive`] each composed call site gets its own
-//! `SiteState` in the PR 9 adaptive policy — retry budgets, the
+//! Adaptive integration: [`Composed::run`] is `#[track_caller]` and hands
+//! its [`Exec`] to the one executor loop, so under [`Exec::Adaptive`] each
+//! composed call site gets its own adaptive state — retry budgets, the
 //! middle path, and regime flips all work unchanged, because the middle
 //! path re-runs the wrapped prefix (anchor checks included) under a
 //! software-held orec and still commits through TL2 validation.
 
-use crate::policy::{self, AdaptivePolicy, PtoPolicy, PtoStats};
-use crate::profile;
+use crate::policy::{AdaptivePolicy, Exec, PtoPolicy, PtoStats};
 use pto_htm::{Abort, AbortCause, TxResult, TxWord, Txn};
 use pto_sim::metrics::{self, Series};
 use std::sync::atomic::Ordering;
@@ -165,18 +164,8 @@ pub fn acquire_ordered<'a>(anchors: &[&'a Anchor]) -> AnchorGuard<'a> {
     AnchorGuard { held }
 }
 
-/// How a [`Composed`] runs its prefix attempts.
-#[derive(Clone, Copy, Debug)]
-pub enum ComposeMode {
-    /// Fixed retry budget (the paper's retry-N-then-fallback).
-    Static(PtoPolicy),
-    /// PR 9 self-tuning policy; the composed call site gets its own
-    /// `SiteState` (budget grants, middle path, regime flips).
-    Adaptive(AdaptivePolicy),
-}
-
 /// A composed multi-structure operation site: the participants' anchors
-/// plus an execution mode and its own [`PtoStats`].
+/// plus an execution mode ([`Exec`]) and its own [`PtoStats`].
 ///
 /// Build one per composed call site (or use the [`compose!`] macro for
 /// one-shot use) and call [`Composed::run`] with a prefix closure that
@@ -193,17 +182,17 @@ pub enum ComposeMode {
 /// applied.
 pub struct Composed<'a> {
     anchors: Vec<&'a Anchor>,
-    mode: ComposeMode,
+    exec: Exec,
     /// Outcome counters for this composed site (fast/middle/fallback and
     /// abort causes), independent of the participants' own stats.
     pub stats: PtoStats,
 }
 
 impl<'a> Composed<'a> {
-    pub fn new(anchors: Vec<&'a Anchor>, mode: ComposeMode) -> Composed<'a> {
+    pub fn new(anchors: Vec<&'a Anchor>, exec: Exec) -> Composed<'a> {
         Composed {
             anchors,
-            mode,
+            exec,
             stats: PtoStats::new(),
         }
     }
@@ -219,7 +208,6 @@ impl<'a> Composed<'a> {
         mut prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
         fallback: impl FnOnce() -> T,
     ) -> T {
-        let site = profile::caller_site();
         metrics::emit(Series::PolicyComposeEntries, 1);
         let anchors = &self.anchors;
         let wrapped_prefix = move |tx: &mut Txn<'e>| -> TxResult<T> {
@@ -233,25 +221,18 @@ impl<'a> Composed<'a> {
             let _held = acquire_ordered(anchors);
             fallback()
         };
-        match self.mode {
-            ComposeMode::Static(ref p) => {
-                policy::pto_at(site, p, &self.stats, wrapped_prefix, wrapped_fallback)
-            }
-            ComposeMode::Adaptive(ref ap) => {
-                policy::pto_adaptive_at(site, 0, ap, &self.stats, wrapped_prefix, wrapped_fallback)
-            }
-        }
+        self.exec.run(&self.stats, wrapped_prefix, wrapped_fallback)
     }
 }
 
 /// A [`Composed`] over `anchors` with a static retry budget.
 pub fn compose<'a>(policy: PtoPolicy, anchors: Vec<&'a Anchor>) -> Composed<'a> {
-    Composed::new(anchors, ComposeMode::Static(policy))
+    Composed::new(anchors, Exec::Static(policy))
 }
 
 /// A [`Composed`] over `anchors` under the self-tuning adaptive policy.
 pub fn compose_adaptive<'a>(ap: AdaptivePolicy, anchors: Vec<&'a Anchor>) -> Composed<'a> {
-    Composed::new(anchors, ComposeMode::Adaptive(ap))
+    Composed::new(anchors, Exec::Adaptive(ap))
 }
 
 /// One-shot composed operation: builds a throwaway [`Composed`] over the
@@ -280,14 +261,14 @@ macro_rules! compose {
     (on: [$($s:expr),+ $(,)?], policy: $p:expr, prefix: $prefix:expr, fallback: $fallback:expr $(,)?) => {{
         $crate::compose::Composed::new(
             vec![$($s.anchor()),+],
-            $crate::compose::ComposeMode::Static($p),
+            $crate::policy::Exec::Static($p),
         )
         .run($prefix, $fallback)
     }};
     (on: [$($s:expr),+ $(,)?], adaptive: $p:expr, prefix: $prefix:expr, fallback: $fallback:expr $(,)?) => {{
         $crate::compose::Composed::new(
             vec![$($s.anchor()),+],
-            $crate::compose::ComposeMode::Adaptive($p),
+            $crate::policy::Exec::Adaptive($p),
         )
         .run($prefix, $fallback)
     }};

@@ -16,7 +16,7 @@
 //! iterations; the combiner charges a load/store per serviced slot plus
 //! whatever the caller's `apply` charges for the sequential operation.
 
-use crate::profile::{self, Phase};
+use crate::profile::{self, Phase, Probe};
 use pto_sim::metrics::{self, Series};
 use pto_sim::pad::CachePadded;
 use pto_sim::stats::Counter;
@@ -129,8 +129,7 @@ impl<S> FlatCombining<S> {
     #[track_caller]
     pub fn execute(&self, request: u64, apply: impl Fn(&mut S, u64) -> u64) -> u64 {
         assert_eq!(request & PENDING, 0, "bit 63 is the pending tag");
-        let site = profile::caller_site();
-        let prof = profile::armed();
+        let mut probe = Probe::new(profile::caller_site());
         let lane = self.my_lane();
         let slot = &self.slots[lane];
         // Publish.
@@ -142,35 +141,32 @@ impl<S> FlatCombining<S> {
             if let Some(mut s) = self.seq.try_lock() {
                 // We are the combiner: one lock acquisition (charged as a
                 // CAS) services every pending request.
-                let t0 = if prof { pto_sim::now() } else { 0 };
-                charge(CostKind::Cas);
-                self.stats.combines.inc();
-                trace::emit(EventKind::CombineBegin);
-                let mut round = 0u64;
-                for other in self.slots.iter() {
-                    charge(CostKind::SharedLoad);
-                    let r = other.req.load(Ordering::Acquire);
-                    if r & PENDING != 0 {
-                        let resp = apply(&mut s, r & !PENDING);
-                        self.stats.serviced.inc();
-                        round += 1;
-                        charge(CostKind::SharedStore);
-                        other.resp.store(resp, Ordering::Release);
-                        charge(CostKind::SharedStore);
-                        other.req.store(r & !PENDING, Ordering::Release);
+                probe.time(Phase::Combine, || {
+                    charge(CostKind::Cas);
+                    self.stats.combines.inc();
+                    trace::emit(EventKind::CombineBegin);
+                    let mut round = 0u64;
+                    for other in self.slots.iter() {
+                        charge(CostKind::SharedLoad);
+                        let r = other.req.load(Ordering::Acquire);
+                        if r & PENDING != 0 {
+                            let resp = apply(&mut s, r & !PENDING);
+                            self.stats.serviced.inc();
+                            round += 1;
+                            charge(CostKind::SharedStore);
+                            other.resp.store(resp, Ordering::Release);
+                            charge(CostKind::SharedStore);
+                            other.req.store(r & !PENDING, Ordering::Release);
+                        }
                     }
-                }
-                charge(CostKind::SharedStore); // lock release
-                trace::emit(EventKind::CombineEnd { serviced: round });
-                metrics::emit(Series::CombineServiced, round);
-                if prof {
-                    let mut acc = profile::LocalAcc::default();
-                    acc.add(Phase::Combine, pto_sim::now() - t0);
-                    profile::charge(site, &acc);
-                }
+                    charge(CostKind::SharedStore); // lock release
+                    trace::emit(EventKind::CombineEnd { serviced: round });
+                    metrics::emit(Series::CombineServiced, round);
+                });
             }
             charge(CostKind::SharedLoad);
             if slot.req.load(Ordering::Acquire) & PENDING == 0 {
+                probe.finish();
                 return slot.resp.load(Ordering::Acquire);
             }
             // Waiting for the combiner lane to service the slot:

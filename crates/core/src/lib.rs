@@ -17,7 +17,12 @@
 //! This crate provides:
 //!
 //! * [`policy`] — [`PtoPolicy`] (retry budget, fence mode, capacities),
-//!   the [`pto`]/[`pto2`] executors, and per-structure [`PtoStats`];
+//!   [`AdaptivePolicy`], and [`Exec`], the one value that says how a
+//!   prefix runs; every executor ([`pto`], [`pto_adaptive`],
+//!   [`Composed::run`], TLE) is one loop over the demotion chain — HTM
+//!   attempts, an optional single-orec middle path, then the fallback —
+//!   reporting into per-structure [`PtoStats`]. The nested form is a `pto`
+//!   call inside another's fallback;
 //! * [`compose`] — atomic operations *across* structures: one prefix
 //!   transaction spanning two objects, with an ordered-lock fallback
 //!   ([`Anchor`]) so the demoted path composes without deadlock;
@@ -37,12 +42,8 @@ pub mod profile;
 pub mod tle;
 pub mod traits;
 
-pub use compose::{
-    acquire_ordered, compose, compose_adaptive, Anchor, AnchorGuard, ComposeMode, Composed,
-};
-pub use policy::{
-    pto, pto2, pto2_adaptive, pto_adaptive, AdaptivePolicy, Backoff, PtoPolicy, PtoStats, Regime,
-};
+pub use compose::{acquire_ordered, compose, compose_adaptive, Anchor, AnchorGuard, Composed};
+pub use policy::{pto, pto_adaptive, AdaptivePolicy, Backoff, Exec, PtoPolicy, PtoStats, Regime};
 pub use traits::{ConcurrentSet, FifoQueue, PriorityQueue, Quiescence, IDLE};
 
 /// Explicit-abort code used by prefix transactions that observe a state

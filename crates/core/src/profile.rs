@@ -4,28 +4,39 @@
 //! *when*; this module says **where the cycles went**: a lightweight site
 //! registry that charges the virtual time spent in transaction attempts,
 //! retry backoff, fallbacks, and combiner rounds to the *originating call
-//! site* of [`pto`](crate::policy::pto) / [`pto2`](crate::policy::pto2) /
+//! site* of [`pto`](crate::policy::pto) /
+//! [`Exec::run`](crate::policy::Exec::run) /
+//! [`Composed::run`](crate::compose::Composed::run) /
 //! [`Tle::execute`](crate::tle::Tle::execute) /
 //! [`FlatCombining::execute`](crate::fc::FlatCombining::execute), captured
 //! with `#[track_caller]` — so a bench report can name the line of
 //! structure code that burned the time, not just the framework function.
+//! Every executor reports through one `Probe` per operation.
 //!
-//! Zero-cost contract, matching trace/metrics: the executors check one
-//! relaxed load ([`armed`]) before reading any clock; when disarmed no
-//! timestamps are taken at all, and when armed the profiler only *reads*
-//! the virtual clock — it never charges it, so arming a
-//! [`ProfileSession`] changes no virtual-time outcome.
+//! A [`ProfileSession`] lives in the context slot
+//! [`SLOT_PROFILE`](pto_sim::ctx::SLOT_PROFILE): it sees operations on its
+//! arming thread and on every `Sim` lane or `par` job that inherits the
+//! slot, and nothing from unrelated threads, so concurrent sessions (and
+//! concurrent tests) never see each other's sites.
 //!
-//! Attribution is **inclusive**: a composed `pto2` charges its inner
-//! attempts both to the inner attempt phase and to the outer fallback
-//! phase (the inner executor runs inside the outer fallback closure),
-//! exactly like a flamegraph's inclusive sample counts.
+//! Zero-cost contract, matching trace/metrics: when no session is live
+//! anywhere, `Probe::new` costs one relaxed load and no timestamps are
+//! taken at all; when armed, the profiler only *reads* the virtual clock —
+//! it never charges it, so arming a [`ProfileSession`] changes no
+//! virtual-time outcome.
+//!
+//! Attribution is **inclusive**: a nested composition (a `pto` call inside
+//! another's fallback) charges its inner attempts both to the inner site
+//! and to the outer site's fallback phase, exactly like a flamegraph's
+//! inclusive sample counts.
 
 use pto_sim::sync::Mutex;
+use pto_sim::trace::{self, EventKind};
+use pto_sim::{charge_n, ctx, CostKind};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Number of attribution phases.
 pub const N_PHASES: usize = 4;
@@ -79,70 +90,124 @@ pub fn caller_site() -> Site {
     }
 }
 
-/// Per-operation local accumulator: the executors batch their phase
-/// charges here and flush once per operation, so the registry lock is
-/// taken once per op, not once per timestamp.
+/// Per-operation local accumulator: a [`Probe`] batches its phase charges
+/// here and flushes once per operation, so the registry lock is taken once
+/// per op, not once per timestamp.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct LocalAcc {
+struct LocalAcc {
     cycles: [u64; N_PHASES],
     counts: [u64; N_PHASES],
 }
 
 impl LocalAcc {
-    pub(crate) fn add(&mut self, phase: Phase, cycles: u64) {
+    fn add(&mut self, phase: Phase, cycles: u64) {
         self.cycles[phase as usize] = self.cycles[phase as usize].saturating_add(cycles);
         self.counts[phase as usize] += 1;
     }
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// Live sessions anywhere in the process: the disarmed fast path is one
+/// relaxed load of this.
+static SESSIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// Is a [`ProfileSession`] armed? The executors' one-relaxed-load guard:
-/// when false they take no timestamps at all.
+/// Is a [`ProfileSession`] armed in this thread's context? When false the
+/// probe takes no timestamps at all.
 #[inline]
-pub(crate) fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+fn armed() -> bool {
+    SESSIONS.load(Ordering::Relaxed) > 0 && ctx::is_set(ctx::SLOT_PROFILE)
 }
 
-#[derive(Clone, Copy, Default)]
-struct SiteTotals {
-    cycles: [u64; N_PHASES],
-    counts: [u64; N_PHASES],
+type Registry = Mutex<HashMap<Site, LocalAcc>>;
+
+/// One operation's instrumentation: times phases, charges backoff spins,
+/// and flushes the op's phase totals to its call site on [`Probe::finish`].
+pub(crate) struct Probe {
+    site: Site,
+    armed: bool,
+    acc: LocalAcc,
 }
 
-fn registry() -> &'static Mutex<HashMap<Site, SiteTotals>> {
-    static R: OnceLock<Mutex<HashMap<Site, SiteTotals>>> = OnceLock::new();
-    R.get_or_init(|| Mutex::new(HashMap::new()))
-}
+impl Probe {
+    #[inline]
+    pub(crate) fn new(site: Site) -> Probe {
+        Probe {
+            site,
+            armed: armed(),
+            acc: LocalAcc::default(),
+        }
+    }
 
-/// Flush one operation's accumulator into the site registry.
-pub(crate) fn charge(site: Site, acc: &LocalAcc) {
-    let mut reg = registry().lock();
-    let t = reg.entry(site).or_default();
-    for i in 0..N_PHASES {
-        t.cycles[i] = t.cycles[i].saturating_add(acc.cycles[i]);
-        t.counts[i] += acc.counts[i];
+    /// Run `f`, attributing the virtual time it takes to `phase`.
+    #[inline]
+    pub(crate) fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        let t0 = if self.armed { pto_sim::now() } else { 0 };
+        let r = f();
+        if self.armed {
+            self.acc.add(phase, pto_sim::now() - t0);
+        }
+        r
+    }
+
+    /// Spin `spins` iterations of retry backoff, each charged as
+    /// [`CostKind::SpinIter`] so the delay shows up in virtual time.
+    pub(crate) fn backoff(&mut self, spins: u64) {
+        self.time(Phase::Backoff, || {
+            trace::emit(EventKind::BackoffBegin { spins });
+            charge_n(CostKind::SpinIter, spins);
+            for _ in 0..spins {
+                std::hint::spin_loop();
+            }
+            trace::emit(EventKind::BackoffEnd);
+        })
+    }
+
+    /// Flush the operation's totals into the armed session's registry.
+    #[inline]
+    pub(crate) fn finish(self) {
+        if self.armed {
+            ctx::with::<Registry, _>(ctx::SLOT_PROFILE, |reg| {
+                if let Some(reg) = reg {
+                    let mut reg = reg.lock();
+                    let t = reg.entry(self.site).or_default();
+                    for i in 0..N_PHASES {
+                        t.cycles[i] = t.cycles[i].saturating_add(self.acc.cycles[i]);
+                        t.counts[i] += self.acc.counts[i];
+                    }
+                }
+            });
+        }
     }
 }
 
-/// A scoped arming of the call-site profiler. At most one session can be
-/// armed at a time; [`ProfileSession::drain`] (or drop) disarms.
+/// A scoped arming of the call-site profiler, bound to the arming thread's
+/// context (and the `Sim` lanes and `par` jobs that inherit it). At most
+/// one session can be armed per context; [`ProfileSession::drain`] (or
+/// drop) disarms.
 #[must_use = "an unarmed profiler records nothing; call drain() to collect"]
 pub struct ProfileSession {
-    _private: (),
+    registry: Arc<Registry>,
+    _guard: ctx::ScopeGuard,
 }
 
 impl ProfileSession {
-    /// Arm the profiler (clears any residue from past sessions).
+    /// Arm a fresh profiler on the current thread's context.
     ///
-    /// Panics if a session is already armed.
+    /// Panics if a session is already armed in this context.
     pub fn arm() -> ProfileSession {
         assert!(
-            !ARMED.swap(true, Ordering::SeqCst),
+            !ctx::is_set(ctx::SLOT_PROFILE),
             "a ProfileSession is already armed"
         );
-        registry().lock().clear();
-        ProfileSession { _private: () }
+        let registry: Arc<Registry> = Arc::new(Mutex::new(HashMap::new()));
+        let guard = ctx::ScopeGuard::install(
+            ctx::SLOT_PROFILE,
+            Arc::clone(&registry) as Arc<dyn std::any::Any + Send + Sync>,
+        );
+        SESSIONS.fetch_add(1, Ordering::SeqCst);
+        ProfileSession {
+            registry,
+            _guard: guard,
+        }
     }
 
     /// Disarm and collect the per-site totals, sorted by total cycles
@@ -150,8 +215,8 @@ impl ProfileSession {
     /// accumulators at op end; drain after joining workers (post
     /// `Sim::run`) for exact totals.
     pub fn drain(self) -> Profile {
-        ARMED.store(false, Ordering::SeqCst);
-        let mut sites: Vec<SiteProfile> = registry()
+        let mut sites: Vec<SiteProfile> = self
+            .registry
             .lock()
             .iter()
             .map(|(site, t)| SiteProfile {
@@ -168,7 +233,7 @@ impl ProfileSession {
 
 impl Drop for ProfileSession {
     fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
+        SESSIONS.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -259,15 +324,11 @@ mod tests {
     use crate::policy::{pto, PtoPolicy, PtoStats};
     use pto_htm::TxWord;
 
-    // Sessions are process-global; tests that arm must not overlap.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // Sessions follow the arming thread's context, so these tests run in
+    // parallel with each other and with every other test in the binary.
 
     #[test]
     fn disarmed_profiling_records_nothing() {
-        let _g = serial();
         let w = TxWord::new(0);
         let stats = PtoStats::new();
         pto(&PtoPolicy::with_attempts(3), &stats, |tx| tx.read(&w), || 0);
@@ -277,7 +338,6 @@ mod tests {
 
     #[test]
     fn sites_attribute_attempt_and_fallback_time() {
-        let _g = serial();
         let session = ProfileSession::arm();
         let w = TxWord::new(0);
         let stats = PtoStats::new();
@@ -327,7 +387,6 @@ mod tests {
 
     #[test]
     fn armed_profiling_never_charges_virtual_time() {
-        let _g = serial();
         let w = TxWord::new(0);
         let stats = PtoStats::new();
         let run = || {
@@ -346,8 +405,30 @@ mod tests {
     }
 
     #[test]
+    fn sessions_see_their_context_only() {
+        let w = TxWord::new(0);
+        let stats = PtoStats::new();
+        let session = ProfileSession::arm();
+        // A thread outside the session's context records nothing...
+        std::thread::scope(|s| {
+            s.spawn(|| pto(&PtoPolicy::with_attempts(3), &stats, |tx| tx.read(&w), || 0));
+        });
+        // ...while `Sim` lanes inherit the arming thread's slot.
+        pto_sim::Sim::new(2).run(|_| {
+            pto(&PtoPolicy::with_attempts(3), &stats, |tx| tx.read(&w), || 0);
+        });
+        let p = session.drain();
+        assert_eq!(
+            p.sites.len(),
+            1,
+            "a thread outside the context was profiled"
+        );
+        assert_eq!(p.sites[0].counts[Phase::Attempt as usize], 2);
+        assert_eq!(stats.fast.get(), 3);
+    }
+
+    #[test]
     fn double_arm_panics_and_drop_disarms() {
-        let _g = serial();
         let session = ProfileSession::arm();
         assert!(std::panic::catch_unwind(ProfileSession::arm).is_err());
         drop(session.drain());

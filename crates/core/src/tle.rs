@@ -8,12 +8,15 @@
 //! exclusion lock, TLE scales poorly once aborts force serialization —
 //! which is exactly the trend Figure 2(a) shows and PTO avoids by falling
 //! back to *lock-free* code instead.
+//!
+//! TLE is one more run of the PTO demotion chain ([`Exec::run`]): a
+//! static mode with `stop_on_permanent = false` (elision spends every
+//! attempt, whatever the abort cause), whose prefix subscribes to the lock
+//! and whose fallback is the lock acquire/run/release section.
 
-use crate::profile::{self, Phase};
-use pto_htm::{transaction_with, Abort, AbortCause, CauseCounters, TxOpts, TxResult, TxWord, Txn};
-use pto_sim::metrics::{self, Series};
-use pto_sim::stats::Counter;
-use pto_sim::trace::{self, EventKind};
+use crate::policy::{Backoff, Exec, PtoPolicy, PtoStats};
+use pto_htm::{Abort, AbortCause, TxOpts, TxResult, TxWord, Txn};
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 
 /// Dual-mode memory accessor: the sequential critical section is written
@@ -47,34 +50,14 @@ impl<'a, 'e> Ctx<'a, 'e> {
     }
 }
 
-/// Outcome counters for a TLE-protected object.
-#[derive(Default, Debug)]
-pub struct TleStats {
-    /// Critical sections completed speculatively.
-    pub elided: Counter,
-    /// Critical sections that took the lock.
-    pub locked: Counter,
-    /// Speculation failures bucketed by [`AbortCause`] (lock-held shows up
-    /// as `conflict` via the subscription abort).
-    pub aborts: CauseCounters,
-}
-
-impl TleStats {
-    pub const fn new() -> Self {
-        TleStats {
-            elided: Counter::new(),
-            locked: Counter::new(),
-            aborts: CauseCounters::new(),
-        }
-    }
-}
-
 /// A single elidable test-and-test-and-set lock.
 pub struct Tle {
     lock: TxWord,
-    attempts: u32,
-    opts: TxOpts,
-    pub stats: TleStats,
+    exec: Exec,
+    /// Outcome counters: `fast` counts elided sections, `fallback` locked
+    /// ones, and `causes` the speculation failures (lock-held shows up as
+    /// `conflict` via the subscription abort).
+    pub stats: PtoStats,
 }
 
 impl Tle {
@@ -88,9 +71,13 @@ impl Tle {
     pub fn with_opts(attempts: u32, opts: TxOpts) -> Self {
         Tle {
             lock: TxWord::new(0),
-            attempts,
-            opts,
-            stats: TleStats::new(),
+            exec: Exec::Static(PtoPolicy {
+                attempts,
+                stop_on_permanent: false,
+                backoff: Backoff::Off,
+                opts,
+            }),
+            stats: PtoStats::new(),
         }
     }
 
@@ -98,13 +85,12 @@ impl Tle {
     /// otherwise. `body` must be idempotent up to its `Ctx` accesses (it
     /// may run several times speculatively before one run takes effect).
     #[track_caller]
-    pub fn execute<'e, T>(&'e self, mut body: impl FnMut(&mut Ctx<'_, 'e>) -> TxResult<T>) -> T {
-        let site = profile::caller_site();
-        let prof = profile::armed();
-        let mut acc = profile::LocalAcc::default();
-        for _ in 0..self.attempts {
-            let t0 = if prof { pto_sim::now() } else { 0 };
-            let r = transaction_with(self.opts, |tx| {
+    pub fn execute<'e, T>(&'e self, body: impl FnMut(&mut Ctx<'_, 'e>) -> TxResult<T>) -> T {
+        // Both paths run the one body; they never overlap.
+        let body = RefCell::new(body);
+        self.exec.run(
+            &self.stats,
+            |tx| {
                 // Lock subscription: any lock acquisition during our window
                 // bumps the word's version and aborts us (strong atomicity).
                 if tx.read(&self.lock)? != 0 {
@@ -112,46 +98,24 @@ impl Tle {
                         cause: AbortCause::Conflict,
                     });
                 }
-                body(&mut Ctx::Tx(tx))
-            });
-            if prof {
-                acc.add(Phase::Attempt, pto_sim::now() - t0);
-            }
-            match r {
-                Ok(v) => {
-                    self.stats.elided.inc();
-                    if prof {
-                        profile::charge(site, &acc);
+                (body.borrow_mut())(&mut Ctx::Tx(tx))
+            },
+            // Serialized fallback: acquire the global lock. For TLE the
+            // "fallback" span covers the whole lock-acquire/run/release
+            // section — lock waits show up as span length in a trace.
+            || {
+                loop {
+                    if self.lock.load(Ordering::Acquire) == 0 && self.lock.cas(0, 1) {
+                        break;
                     }
-                    return v;
+                    std::hint::spin_loop();
                 }
-                Err(cause) => self.stats.aborts.record(cause),
-            }
-        }
-        // Serialized fallback: acquire the global lock. For TLE the
-        // "fallback" span covers the whole lock-acquire/run/release
-        // section — lock waits show up as span length in a trace.
-        metrics::emit(Series::FallbackDepth, 1);
-        trace::emit(EventKind::FallbackEnter);
-        let t0 = if prof { pto_sim::now() } else { 0 };
-        loop {
-            if self.lock.load(Ordering::Acquire) == 0 && self.lock.cas(0, 1) {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        let v = body(&mut Ctx::Direct).unwrap_or_else(|_| {
-            unreachable!("direct-mode Ctx accesses are infallible")
-        });
-        self.lock.store(0, Ordering::Release);
-        self.stats.locked.inc();
-        if prof {
-            acc.add(Phase::Fallback, pto_sim::now() - t0);
-            profile::charge(site, &acc);
-        }
-        trace::emit(EventKind::FallbackExit);
-        metrics::emit(Series::FallbackDepth, 0);
-        v
+                let v = (body.borrow_mut())(&mut Ctx::Direct)
+                    .unwrap_or_else(|_| unreachable!("direct-mode Ctx accesses are infallible"));
+                self.lock.store(0, Ordering::Release);
+                v
+            },
+        )
     }
 }
 
@@ -171,8 +135,8 @@ mod tests {
             });
             assert_eq!(w.peek(), i);
         }
-        assert_eq!(tle.stats.elided.get(), 10);
-        assert_eq!(tle.stats.locked.get(), 0);
+        assert_eq!(tle.stats.fast.get(), 10);
+        assert_eq!(tle.stats.fallback.get(), 0);
     }
 
     #[test]
@@ -187,10 +151,11 @@ mod tests {
         let w = TxWord::new(0);
         let v = tle.execute(|ctx| ctx.read(&w));
         assert_eq!(v, 0);
-        assert_eq!(tle.stats.locked.get(), 1);
-        assert_eq!(tle.stats.elided.get(), 0);
-        assert_eq!(tle.stats.aborts.spurious.get(), 3);
-        assert_eq!(tle.stats.aborts.total(), 3);
+        assert_eq!(tle.stats.fallback.get(), 1);
+        assert_eq!(tle.stats.fast.get(), 0);
+        assert_eq!(tle.stats.causes.spurious.get(), 3);
+        assert_eq!(tle.stats.causes.total(), 3);
+        assert_eq!(tle.stats.aborted_attempts.get(), 3);
     }
 
     #[test]
@@ -199,7 +164,34 @@ mod tests {
         let w = TxWord::new(5);
         let v = tle.execute(|ctx| ctx.read(&w));
         assert_eq!(v, 5);
-        assert_eq!(tle.stats.locked.get(), 1);
+        assert_eq!(tle.stats.fallback.get(), 1);
+    }
+
+    #[test]
+    fn capacity_aborts_spend_every_attempt_before_locking() {
+        // Unlike a PTO prefix, elision does not stop on a permanent abort:
+        // a body that overflows `write_cap` burns all `attempts`, then the
+        // lock path runs it directly.
+        let opts = TxOpts {
+            write_cap: 2,
+            ..TxOpts::default()
+        };
+        let tle = Tle::with_opts(4, opts);
+        let words: Vec<TxWord> = (0..8).map(TxWord::new).collect();
+        let runs = std::cell::Cell::new(0u32);
+        tle.execute(|ctx| {
+            runs.set(runs.get() + 1);
+            for w in &words {
+                ctx.write(w, 1)?;
+            }
+            Ok(())
+        });
+        assert_eq!(runs.get(), 5, "four elision attempts, then the locked run");
+        assert_eq!(tle.stats.causes.capacity.get(), 4);
+        assert_eq!(tle.stats.causes.total(), 4);
+        assert_eq!(tle.stats.fast.get(), 0);
+        assert_eq!(tle.stats.fallback.get(), 1);
+        assert!(words.iter().all(|w| w.peek() == 1));
     }
 
     #[test]

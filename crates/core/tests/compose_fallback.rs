@@ -4,8 +4,8 @@
 //! demotion chain (HTM prefix → owned-orec middle path → ordered locks)
 //! without ever applying an operation zero or two times.
 
-use pto_core::compose::{Anchor, ComposeMode, Composed};
-use pto_core::policy::{AdaptivePolicy, PtoPolicy};
+use pto_core::compose::{Anchor, Composed};
+use pto_core::policy::{AdaptivePolicy, Exec, PtoPolicy};
 use pto_htm::TxWord;
 use pto_sim::Sim;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +26,7 @@ fn opposite_argument_order_cannot_deadlock() {
         s.spawn(|| {
             // attempts(0): skip the prefix, every op takes the lock path.
             let site =
-                Composed::new(vec![&a, &b], ComposeMode::Static(PtoPolicy::with_attempts(0)));
+                Composed::new(vec![&a, &b], Exec::Static(PtoPolicy::with_attempts(0)));
             for _ in 0..OPS {
                 site.run(
                     |_tx| Ok(()),
@@ -40,7 +40,7 @@ fn opposite_argument_order_cannot_deadlock() {
         });
         s.spawn(|| {
             let site =
-                Composed::new(vec![&b, &a], ComposeMode::Static(PtoPolicy::with_attempts(0)));
+                Composed::new(vec![&b, &a], Exec::Static(PtoPolicy::with_attempts(0)));
             for _ in 0..OPS {
                 site.run(
                     |_tx| Ok(()),
@@ -74,7 +74,7 @@ fn injected_composed_ops_demote_through_middle_to_locks() {
     let word = TxWord::new(0);
     let site = Composed::new(
         vec![&a, &b],
-        ComposeMode::Adaptive(
+        Exec::Adaptive(
             AdaptivePolicy::new(PtoPolicy::with_attempts(2)).with_middle_streak(1),
         ),
     );

@@ -29,7 +29,7 @@ use pto_sim::stats::Counter;
 use std::sync::Arc;
 
 /// Per-cause abort counters, embeddable in any per-variant stats block
-/// (`PtoStats`, `TleStats`). All increments are relaxed; read with `get()`.
+/// (`PtoStats`). All increments are relaxed; read with `get()`.
 #[derive(Default, Debug)]
 pub struct CauseCounters {
     /// Conflicting concurrent (or non-transactional) access.

@@ -405,7 +405,7 @@ impl TleMindicator {
 
     /// Elided vs. locked execution counts (diagnostics).
     pub fn stats(&self) -> (u64, u64) {
-        (self.tle.stats.elided.get(), self.tle.stats.locked.get())
+        (self.tle.stats.fast.get(), self.tle.stats.fallback.get())
     }
 }
 

@@ -45,6 +45,8 @@ pub const SLOT_LAT: usize = 3;
 pub const SLOT_HISTORY: usize = 4;
 /// Slot of `pto-sim`'s scoped metrics aggregation block.
 pub const SLOT_METRICS: usize = 5;
+/// Slot of `pto-core`'s call-site profile registry.
+pub const SLOT_PROFILE: usize = 6;
 
 type Slot = Option<Arc<dyn Any + Send + Sync>>;
 

@@ -29,7 +29,7 @@
 //! sentinel sorts below every key; the tail sentinel is `u32::MAX`.
 
 use pto_core::compose::Anchor;
-use pto_core::policy::{pto, pto_adaptive, AdaptivePolicy, PtoPolicy, PtoStats};
+use pto_core::policy::{AdaptivePolicy, Exec, PtoPolicy, PtoStats};
 use pto_core::{ConcurrentSet, PriorityQueue};
 use pto_htm::{TxResult, TxWord};
 use pto_mem::epoch::{self, Guard};
@@ -96,12 +96,12 @@ thread_local! {
 #[allow(clippy::large_enum_variant)]
 enum Mode {
     LockFree,
-    Pto { policy: PtoPolicy, stats: PtoStats },
-    /// Self-tuning PTO: each accelerated superblock's call site adapts
-    /// its retry budget from its own abort-cause stream, with the
-    /// single-orec middle path available (both superblocks are purely
-    /// transactional, so an owned-orec re-run cannot self-deadlock).
-    Adaptive { policy: AdaptivePolicy, stats: PtoStats },
+    /// Static or self-tuning PTO. Under [`Exec::Adaptive`] each
+    /// accelerated superblock's call site adapts its retry budget from its
+    /// own abort-cause stream, with the single-orec middle path available
+    /// (both superblocks are purely transactional, so an owned-orec re-run
+    /// cannot self-deadlock).
+    Pto { exec: Exec, stats: PtoStats },
 }
 
 /// The shared tower machinery.
@@ -332,14 +332,7 @@ impl SkipList {
             let node = self.make_node(key, height, &f.succs);
             let linked = match &self.mode {
                 Mode::LockFree => self.link_lockfree(node, height, key, &f, g),
-                Mode::Pto { policy, stats } => pto(
-                    policy,
-                    stats,
-                    |tx| self.link_tx(tx, node, height, &f),
-                    || self.link_lockfree(node, height, key, &f, g),
-                ),
-                Mode::Adaptive { policy, stats } => pto_adaptive(
-                    policy,
+                Mode::Pto { exec, stats } => exec.run(
                     stats,
                     |tx| self.link_tx(tx, node, height, &f),
                     || self.link_lockfree(node, height, key, &f, g),
@@ -416,14 +409,7 @@ impl SkipList {
     fn mark_node(&self, node: u32, height: usize) -> bool {
         match &self.mode {
             Mode::LockFree => self.mark_lockfree(node, height),
-            Mode::Pto { policy, stats } => pto(
-                policy,
-                stats,
-                |tx| self.mark_tx(tx, node, height),
-                || self.mark_lockfree(node, height),
-            ),
-            Mode::Adaptive { policy, stats } => pto_adaptive(
-                policy,
+            Mode::Pto { exec, stats } => exec.run(
                 stats,
                 |tx| self.mark_tx(tx, node, height),
                 || self.mark_lockfree(node, height),
@@ -596,7 +582,7 @@ impl SkipListSet {
     pub fn new_pto_with(policy: PtoPolicy) -> Self {
         SkipListSet {
             list: SkipList::new(Mode::Pto {
-                policy,
+                exec: Exec::Static(policy),
                 stats: PtoStats::new(),
             }),
         }
@@ -612,8 +598,8 @@ impl SkipListSet {
     /// (middle-path forcing, streak/probe tuning).
     pub fn new_adaptive_with(policy: AdaptivePolicy) -> Self {
         SkipListSet {
-            list: SkipList::new(Mode::Adaptive {
-                policy,
+            list: SkipList::new(Mode::Pto {
+                exec: Exec::Adaptive(policy),
                 stats: PtoStats::new(),
             }),
         }
@@ -622,7 +608,7 @@ impl SkipListSet {
     pub fn pto_stats(&self) -> Option<&PtoStats> {
         match &self.list.mode {
             Mode::LockFree => None,
-            Mode::Pto { stats, .. } | Mode::Adaptive { stats, .. } => Some(stats),
+            Mode::Pto { stats, .. } => Some(stats),
         }
     }
 
@@ -764,7 +750,7 @@ impl SkipQueue {
     pub fn new_pto() -> Self {
         SkipQueue {
             list: SkipList::new(Mode::Pto {
-                policy: PtoPolicy::with_attempts(3),
+                exec: Exec::Static(PtoPolicy::with_attempts(3)),
                 stats: PtoStats::new(),
             }),
         }
@@ -773,8 +759,8 @@ impl SkipQueue {
     /// Self-tuning PTO (see [`SkipListSet::new_adaptive_with`]).
     pub fn new_adaptive_with(policy: AdaptivePolicy) -> Self {
         SkipQueue {
-            list: SkipList::new(Mode::Adaptive {
-                policy,
+            list: SkipList::new(Mode::Pto {
+                exec: Exec::Adaptive(policy),
                 stats: PtoStats::new(),
             }),
         }
@@ -783,7 +769,7 @@ impl SkipQueue {
     pub fn pto_stats(&self) -> Option<&PtoStats> {
         match &self.list.mode {
             Mode::LockFree => None,
-            Mode::Pto { stats, .. } | Mode::Adaptive { stats, .. } => Some(stats),
+            Mode::Pto { stats, .. } => Some(stats),
         }
     }
 

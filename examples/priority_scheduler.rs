@@ -23,8 +23,8 @@
 //! cargo run --release --example priority_scheduler
 //! ```
 
-use pto::core::compose::{ComposeMode, Composed};
-use pto::core::policy::{AdaptivePolicy, PtoPolicy};
+use pto::core::compose::Composed;
+use pto::core::policy::{AdaptivePolicy, Exec, PtoPolicy};
 use pto::core::{ConcurrentSet, PriorityQueue};
 use pto::hashtable::{FSetHashTable, HashVariant};
 use pto::mound::Mound;
@@ -37,11 +37,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const TASKS_PER_PRODUCER: u64 = 600;
 
-fn mode_for(series: &str) -> ComposeMode {
+fn mode_for(series: &str) -> Exec {
     match series {
-        "fallback" => ComposeMode::Static(PtoPolicy::with_attempts(0)),
-        "pto" => ComposeMode::Static(PtoPolicy::default()),
-        "adaptive" => ComposeMode::Adaptive(AdaptivePolicy::new(PtoPolicy::default())),
+        "fallback" => Exec::Static(PtoPolicy::with_attempts(0)),
+        "pto" => Exec::Static(PtoPolicy::default()),
+        "adaptive" => Exec::Adaptive(AdaptivePolicy::new(PtoPolicy::default())),
         other => panic!("unknown series {other}"),
     }
 }
