@@ -67,9 +67,11 @@
 //!   the running lane pays *nothing* to publish (no notify), and a parked
 //!   lane costs one `sched_yield` per scheduler rotation. With cores to
 //!   spare, parked lanes poll on their own cores and resume with lower
-//!   latency than a futex wake would give them. Pollers read only the
-//!   root — at 256 lanes, 255 parked pollers no longer generate an
-//!   O(lanes²) storm of full-array scans per rotation.
+//!   latency than a futex wake would give them. A poller reads the root
+//!   and the sibling nodes along its own leaf-to-root path — O(log lanes)
+//!   words, so at 256 lanes 255 parked pollers generate no O(lanes²)
+//!   storm of full-array scans per rotation, yet a parked lane sees its
+//!   peers' published clocks without waiting for someone to climb.
 
 use crate::cost::CostProfile;
 use crate::pad::CachePadded;
@@ -177,6 +179,31 @@ impl Gate {
         }
     }
 
+    /// Lower bound on the minimum clock of every lane but `lane`: the
+    /// least sibling value along `lane`'s leaf-to-root path. The siblings'
+    /// subtrees partition the other lanes and every node bounds its
+    /// subtree from below, so the result bounds their minimum from below
+    /// — `u64::MAX` for a lone lane. O(log lanes) loads; at 2 lanes it is
+    /// the other lane's leaf.
+    fn others_bound(&self, lane: usize) -> u64 {
+        let mut i = self.width - 1 + lane;
+        let mut m = u64::MAX;
+        while i > 0 {
+            let sibling = if i % 2 == 1 { i + 1 } else { i - 1 };
+            m = m.min(self.node_value(sibling));
+            i = (i - 1) / 2;
+        }
+        m
+    }
+
+    /// The bound a parked `lane` polls: the better of the root and
+    /// [`Self::others_bound`]. Both bound the other lanes' minimum from
+    /// below, and a parked lane is ahead of itself, so `now ≤ bound +
+    /// quantum` still implies the skew bound.
+    fn peer_bound(&self, lane: usize) -> u64 {
+        self.root_bound().max(self.others_bound(lane))
+    }
+
     /// Refresh the path from `lane`'s leaf to the root: O(log lanes).
     #[cold]
     fn climb(&self, lane: usize) {
@@ -276,7 +303,7 @@ impl Gate {
         let mut polls: u32 = 0;
         loop {
             std::thread::yield_now();
-            if now <= self.root_bound().saturating_add(self.quantum) {
+            if now <= self.peer_bound(lane).saturating_add(self.quantum) {
                 break;
             }
             polls = polls.wrapping_add(1);
@@ -536,6 +563,39 @@ mod tests {
             "skew {} exceeds bound",
             skew.load(Ordering::Relaxed)
         );
+    }
+
+    #[test]
+    fn parked_lane_is_released_by_a_peer_fast_path_publish() {
+        // Lane 1 runs 10_000 cycles ahead and parks. Lane 0 climbs at
+        // 9_700, short of lane 1's release point (9_800), then publishes
+        // 9_900 through the fast path, without climbing. The parked lane
+        // watches lane 0's leaf, so that publish releases it; a poller of
+        // the root alone would wait for the exact-scan backstop.
+        let sim = Sim {
+            threads: 2,
+            quantum: 200,
+            profile: CostProfile::Haswell,
+        };
+        let gate = Arc::new(Gate::new(sim.threads, sim.quantum, sim.profile));
+        let released = std::sync::atomic::AtomicBool::new(false);
+        sim.run_on(Arc::clone(&gate), |lane| {
+            if lane == 1 {
+                clock::charge_cycles(10_000);
+                released.store(true, Ordering::Release);
+            } else {
+                while gate.park_count() == 0 {
+                    std::thread::yield_now();
+                }
+                clock::charge_cycles(9_700);
+                clock::charge_cycles(200);
+                while !released.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert_eq!(gate.park_count(), 1);
+        assert_eq!(gate.backstop_count(), 0, "the park waited for a backstop");
     }
 
     #[test]
