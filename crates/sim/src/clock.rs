@@ -153,11 +153,17 @@ fn gate_cross(ctx: &ThreadCtx, now: u64) {
 /// minimum publishes its clock and yields uncharged, letting the
 /// stragglers run.
 ///
-/// Minimum membership is read from the cheap root bound, a conservative
-/// (stale-low) estimate, so every 64th uncharged poll runs the gate's
-/// exact-min scan instead: a waiter that trusted a stale bound while
-/// actually *being* the minimum would freeze virtual time for the whole
-/// machine. When the exact scan finds the waiter at the minimum, it
+/// Each tick publishes through the gate's lease fast path (a leaf store
+/// and a check of the waiter's own lease; see [`crate::sched`]), which
+/// reads no other lane. Minimum membership is then read from the cheap
+/// root bound, a conservative (stale-low) estimate. Lanes refresh the
+/// root only when they renew a lease, so it lags further than a
+/// per-crossing climb would keep it, and every 64th uncharged poll runs
+/// the gate's exact scan instead: a waiter that trusted a stale bound
+/// while actually *being* the minimum would freeze virtual time for the
+/// whole machine. The scan returns the other lanes' minimum and
+/// publishes the exact minimum to the root. When it finds the waiter at
+/// the minimum, it
 /// advances **in one step**: a single `charge_n(SpinIter, k)`, with `k`
 /// the fewest whole `SpinIter`s that bring its clock to (min clock of the
 /// other lanes − quantum). That is exactly the point at which the gate
@@ -199,14 +205,19 @@ pub fn spin_wait_tick() {
         }
         let polls = ctx.wait_polls.get().wrapping_add(1);
         ctx.wait_polls.set(polls);
-        if !polls.is_multiple_of(64) || now > gate.exact_min_and_publish() {
+        if !polls.is_multiple_of(64) {
+            return 0;
+        }
+        // `others` is the other lanes' exact minimum; this lane's own
+        // published clock is `now`.
+        let others = gate.exact_scan(lane, now);
+        if now > others {
             return 0;
         }
         ctx.wait_polls.set(0);
         // The exact scan found this lane at the minimum: step to the next
         // lane's release point. Other clocks only rise, so the scanned
         // target never overshoots it.
-        let others = gate.min_other(lane);
         let target = others.saturating_sub(gate.quantum());
         if others == u64::MAX || target <= now {
             return 1;

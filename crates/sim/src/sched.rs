@@ -42,24 +42,71 @@
 //!    never let it overrun the skew bound.
 //! 3. **Liveness / min-lane-never-parks**: before parking, a lane runs an
 //!    *exact* O(lanes) scan and publishes the true min to the root. The
-//!    minimum lane sees `m == its own clock` and passes, so some lane
+//!    minimum lane finds no other lane behind it and passes, so some lane
 //!    always runs; and any lane that *becomes* the minimum while parked
-//!    was already released by the last publisher's exact scan (the scan
-//!    wrote the true min — that lane's clock — to the root it polls).
-//!    A periodic exact scan inside the park loop backstops this.
+//!    is released by the bounds it polls once the others catch up. A
+//!    periodic exact scan inside the park loop backstops this.
 //!
-//! Cost: the fast path (the overwhelmingly common case) is one leaf store
-//! plus one root load regardless of lane count; a quantum crossing that
-//! misses the fast path climbs O(log lanes); only a lane about to park
-//! pays the O(lanes) exact scan, and it pays it once per park episode.
+//! # The protocol: leases and peer bounds
+//!
+//! A lane reads other lanes' state only when it has to:
+//!
+//! * **Lease (fast path).** Each lane holds a lease: a clock up to which it
+//!   may run without looking at anyone else. A crossing stores the leaf
+//!   and compares the clock against the lane's own lease — no load of
+//!   shared gate state. A lease is a lower bound on the other lanes'
+//!   minimum plus one quantum; the others only rise, so it stays valid
+//!   forever, and a stale read of it is still a valid lease.
+//! * **Renewal (cold path).** A crossing past the lease climbs the lane's
+//!   own path and leases again against the larger of the root and the
+//!   least sibling the climb read. The siblings' subtrees partition the
+//!   other lanes, so by invariant 1 the least sibling bounds their
+//!   minimum from below. A lane still over runs the exact scan, then
+//!   parks. A lone lane has no siblings: its first renewal leases to
+//!   `u64::MAX`.
+//! * **Peer bound (park poll).** A parked lane polls the root and then
+//!   the siblings along its own leaf-to-root path, widest first — at most
+//!   1 + log2(lanes) words, and at 2 lanes the peer's leaf itself. It is
+//!   released as soon as a peer publishes a clock within a quantum,
+//!   climb or no climb. No poll scans all lanes: at 256 lanes, 255 parked
+//!   pollers must not storm the machine with full-array scans.
+//! * **Revocation.** A lane's fast path never refreshes the tree, so the
+//!   sibling nodes a parked lane polls rise only when lanes under them
+//!   renew. When the exact scan before a park finds the minimum lane more
+//!   than a quantum behind, it zeroes that lane's lease (unless the lane
+//!   is a leaf sibling, which the parker reads directly, or its lease
+//!   already ends within its next quantum). That lane climbs at its next
+//!   crossing. Only the minimum is revoked: checking every lane's lease
+//!   in the scan cost 8–15% of a crossing at 256 lanes.
+//!
+//! The three invariants carry over. A lease and a poll bound are both
+//! built from node values, so both are conservative (1) and a stale read
+//! only lengthens a wait or shortens a lease (2). For liveness (3), a
+//! revocation only moves a renewal earlier.
+//!
+//! **Why a `Release` store suffices.** The fast path publishes its leaf
+//! with a plain `Release` store, not the `SeqCst` store (an `xchg` on
+//! x86) that would order it before the lease load. A parked peer that
+//! reads the leaf late only waits longer. The one hazard is two lanes
+//! that each miss the other's store and both park; the exact scan rules
+//! it out, because it opens with a `SeqCst` fence. Of two lanes that
+//! each store and then fence and scan, one fence comes first in the
+//! single total order of `SeqCst` fences, so the other lane's scan sees
+//! that lane's store. One of the two sees the true minimum, and the
+//! minimum lane passes.
+//!
+//! Cost: the fast path is one leaf store plus one load of the lane's own
+//! lease line, regardless of lane count; a renewal climbs O(log lanes);
+//! only a lane about to park pays the O(lanes) exact scan, once per park
+//! episode.
 //!
 //! Wallclock design (virtual time is untouched — the gate never charges
 //! cycles):
 //!
-//! * A 1-lane simulation never leaves the fast path (its own clock *is*
-//!   the root bound), so it never scans, parks, or takes any lock — there
-//!   is no lock to take.
-//! * Parking **polls** (root load + `yield_now`) instead of blocking on a
+//! * A 1-lane simulation renews at most once and then never leaves the
+//!   fast path, so it never scans, parks, or takes any lock — there is
+//!   no lock to take.
+//! * Parking **polls** (peer bound + `yield_now`) instead of blocking on a
 //!   futex. The previous mutex+condvar gate paid a futex wait, a futex
 //!   wake, and a wake-preemption context-switch bounce per lane-quantum;
 //!   on the oversubscribed one-core hosts this simulator targets, that
@@ -67,15 +114,14 @@
 //!   the running lane pays *nothing* to publish (no notify), and a parked
 //!   lane costs one `sched_yield` per scheduler rotation. With cores to
 //!   spare, parked lanes poll on their own cores and resume with lower
-//!   latency than a futex wake would give them. A poller reads the root
-//!   and the sibling nodes along its own leaf-to-root path — O(log lanes)
-//!   words, so at 256 lanes 255 parked pollers generate no O(lanes²)
-//!   storm of full-array scans per rotation, yet a parked lane sees its
-//!   peers' published clocks without waiting for someone to climb.
+//!   latency than a futex wake would give them.
+//! * A lane's clock and its lease sit on separate padded lines: a parked
+//!   peer polls the clock, and a lease on the same line would miss on
+//!   every fast-path read behind the poll.
 
 use crate::cost::CostProfile;
 use crate::pad::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default quantum: how far ahead (in virtual cycles) a thread may run
@@ -91,38 +137,29 @@ const PARK_EXACT_SCAN_PERIOD: u32 = 1024;
 pub struct Gate {
     quantum: u64,
     profile: CostProfile,
-    /// Leaf clocks, padded: lane `j` publishes here on every crossing.
-    clocks: Box<[CachePadded<AtomicU64>]>,
+    /// One padded slot per lane: its leaf clock and its lease.
+    slots: Box<[CachePadded<Slot>]>,
     finals: Box<[AtomicU64]>,
     /// Internal nodes of the tournament min-tree in heap order
     /// (`width - 1` of them; empty when `width == 1`). `tree[0]` is the
-    /// root: a monotone conservative lower bound on `min_clock()`.
+    /// root: a monotone conservative lower bound on the minimum clock.
     tree: Box<[CachePadded<AtomicU64>]>,
     /// Tree width: `lanes.next_power_of_two()`.
     width: usize,
-    /// Park episodes (diagnostics; the 1-lane test asserts this stays
-    /// zero — a single lane must never wait on the gate).
-    parks: AtomicU64,
-    /// Exact-scan backstops fired inside park loops (diagnostics: nonzero
-    /// means every path to the root went stale — all climbers parked —
-    /// and a poller had to rescan; a chronically high count points at
-    /// tournament-root staleness under the current quantum).
-    backstops: AtomicU64,
 }
 
 impl Gate {
     pub(crate) fn new(lanes: usize, quantum: u64, profile: CostProfile) -> Self {
         assert!(lanes > 0, "a simulation needs at least one lane");
         let width = lanes.next_power_of_two();
+        let quantum = quantum.max(1);
         Gate {
-            quantum: quantum.max(1),
+            quantum,
             profile,
-            clocks: (0..lanes).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+            slots: (0..lanes).map(|_| CachePadded::new(Slot::new(quantum))).collect(),
             finals: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
             tree: (0..width - 1).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
             width,
-            parks: AtomicU64::new(0),
-            backstops: AtomicU64::new(0),
         }
     }
 
@@ -136,24 +173,37 @@ impl Gate {
         self.profile
     }
 
-    /// How many times any lane parked to wait for stragglers (diagnostics).
+    /// Sum of one per-lane diagnostic counter.
+    fn total(&self, counter: impl Fn(&Slot) -> &AtomicU64) -> u64 {
+        self.slots.iter().map(|s| counter(s).load(Ordering::Relaxed)).sum()
+    }
+
+    /// How many times any lane parked to wait for stragglers (diagnostics;
+    /// the 1-lane test asserts this stays zero — a single lane must never
+    /// wait on the gate).
     pub fn park_count(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
+        self.total(|s| &s.parks)
     }
 
     /// How many exact-scan backstops fired inside park loops — i.e. how
-    /// often the tournament root went stale with every climber parked
-    /// (diagnostics).
+    /// often a poller's bounds went stale with every lane that could
+    /// raise them parked (diagnostics).
     pub fn backstop_count(&self) -> u64 {
-        self.backstops.load(Ordering::Relaxed)
+        self.total(|s| &s.backstops)
+    }
+
+    /// How many crossings renewed a lease instead of passing on the fast
+    /// path (diagnostics).
+    pub fn renewal_count(&self) -> u64 {
+        self.total(|s| &s.renewals)
     }
 
     /// Leaf `j` of the conceptual heap: a real lane clock, or `MAX` for
     /// phantom leaves padding the tree to a power of two.
     #[inline]
     fn leaf(&self, j: usize) -> u64 {
-        match self.clocks.get(j) {
-            Some(c) => c.load(Ordering::SeqCst),
+        match self.slots.get(j) {
+            Some(s) => s.clock.load(Ordering::Acquire),
             None => u64::MAX,
         }
     }
@@ -163,163 +213,219 @@ impl Gate {
     fn node_value(&self, i: usize) -> u64 {
         let internal = self.width - 1;
         if i < internal {
-            self.tree[i].load(Ordering::SeqCst)
+            self.tree[i].load(Ordering::Acquire)
         } else {
             self.leaf(i - internal)
         }
     }
 
-    /// Current root bound: conservative, monotone `≤ min_clock()`.
+    /// Current root bound: conservative, monotone `≤` the minimum clock.
     #[inline]
     pub(crate) fn root_bound(&self) -> u64 {
         if self.width == 1 {
             self.leaf(0)
         } else {
-            self.tree[0].load(Ordering::SeqCst)
+            self.tree[0].load(Ordering::Acquire)
         }
     }
 
-    /// Lower bound on the minimum clock of every lane but `lane`: the
-    /// least sibling value along `lane`'s leaf-to-root path. The siblings'
-    /// subtrees partition the other lanes and every node bounds its
-    /// subtree from below, so the result bounds their minimum from below
-    /// — `u64::MAX` for a lone lane. O(log lanes) loads; at 2 lanes it is
-    /// the other lane's leaf.
-    fn others_bound(&self, lane: usize) -> u64 {
-        let mut i = self.width - 1 + lane;
-        let mut m = u64::MAX;
-        while i > 0 {
-            let sibling = if i % 2 == 1 { i + 1 } else { i - 1 };
-            m = m.min(self.node_value(sibling));
-            i = (i - 1) / 2;
+    /// A bound showing every lane but `lane` at or past `floor`, if the
+    /// tree holds one: the root, or else the least sibling along `lane`'s
+    /// leaf-to-root path. The siblings' subtrees partition the other
+    /// lanes and every node bounds its subtree from below, so the least
+    /// sibling bounds the other lanes' minimum — at 2 lanes it is the
+    /// other lane's leaf. At most 1 + log2(lanes) loads, read top-down so
+    /// that the widest subtree, the likeliest to hold a laggard, answers
+    /// first.
+    fn peers_reach(&self, lane: usize, floor: u64) -> Option<u64> {
+        let root = self.root_bound();
+        if root >= floor {
+            return Some(root);
         }
-        m
-    }
-
-    /// The bound a parked `lane` polls: the better of the root and
-    /// [`Self::others_bound`]. Both bound the other lanes' minimum from
-    /// below, and a parked lane is ahead of itself, so `now ≤ bound +
-    /// quantum` still implies the skew bound.
-    fn peer_bound(&self, lane: usize) -> u64 {
-        self.root_bound().max(self.others_bound(lane))
+        // 1-based heap numbering: `leaf >> k` is the leaf's ancestor k
+        // levels up, and `a ^ 1` is the sibling of node `a`.
+        let leaf = self.width + lane;
+        let mut least = u64::MAX;
+        for k in (0..self.width.trailing_zeros()).rev() {
+            let v = self.node_value(((leaf >> k) ^ 1) - 1);
+            if v < floor {
+                return None;
+            }
+            least = least.min(v);
+        }
+        Some(least)
     }
 
     /// Refresh the path from `lane`'s leaf to the root: O(log lanes).
+    /// Returns the least sibling value it read along the way — a lower
+    /// bound on every other lane's clock (see [`Self::peers_reach`]),
+    /// `u64::MAX` for a lone lane.
     #[cold]
-    fn climb(&self, lane: usize) {
-        let internal = self.width - 1;
-        let mut i = internal + lane;
+    fn climb(&self, lane: usize) -> u64 {
+        let mut i = self.width - 1 + lane;
+        let mut others = u64::MAX;
         while i > 0 {
             let p = (i - 1) / 2;
-            let m = self.node_value(2 * p + 1).min(self.node_value(2 * p + 2));
-            self.tree[p].fetch_max(m, Ordering::SeqCst);
+            let (left, right) = (self.node_value(2 * p + 1), self.node_value(2 * p + 2));
+            others = others.min(if i == 2 * p + 1 { right } else { left });
+            self.tree[p].fetch_max(left.min(right), Ordering::AcqRel);
             i = p;
         }
-    }
-
-    /// Exact O(lanes) minimum over the real leaf clocks.
-    fn min_clock(&self) -> u64 {
-        self.clocks
-            .iter()
-            .map(|c| c.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(u64::MAX)
+        others
     }
 
     /// Exact O(lanes) minimum over every real lane except `lane` —
-    /// `u64::MAX` when all the others have finished. Wait path only
-    /// ([`crate::spin_wait_tick`]): it tells the minimum waiter how far
-    /// it may advance before it would pass the next lane's release point.
+    /// `u64::MAX` when all the others have finished.
+    #[cfg(test)]
     pub(crate) fn min_other(&self, lane: usize) -> u64 {
-        self.clocks
+        self.slots
             .iter()
             .enumerate()
             .filter(|&(j, _)| j != lane)
-            .map(|(_, c)| c.load(Ordering::SeqCst))
+            .map(|(_, s)| s.clock.load(Ordering::Acquire))
             .min()
             .unwrap_or(u64::MAX)
     }
 
-    /// Exact scan, published to the root. Returns the scanned min.
+    /// Exact scan for `lane`, whose published clock is `now`: returns the
+    /// other lanes' minimum (`u64::MAX` when all have finished) and
+    /// publishes the exact minimum — that or `now` — to the root. Only a
+    /// lane that may park or charge a wait runs it.
+    ///
+    /// Every lane it finds more than a quantum behind `now` holds `lane`
+    /// back, so `lane` is about to park: the scan revokes that lane's
+    /// lease, and it climbs at its next crossing, raising the nodes
+    /// `lane` polls. A leaf sibling is spared — `lane` polls its leaf
+    /// directly.
+    ///
+    /// The leading `SeqCst` fence pairs with every other scanner's: of
+    /// two lanes that each publish (a `Release` store) and then scan,
+    /// at least one sees the other's store, so two lanes cannot both
+    /// park on each other's stale clocks.
     ///
     /// The conservativeness debug assertion reads the root *before* the
     /// scan: root-at-read ≤ true-min-at-read ≤ scanned min (the true min
     /// only rises). Reading it after would race with concurrent climbs.
-    pub(crate) fn exact_min_and_publish(&self) -> u64 {
+    pub(crate) fn exact_scan(&self, lane: usize, now: u64) -> u64 {
+        fence(Ordering::SeqCst);
         let bound_before = self.root_bound();
-        let m = self.min_clock();
+        let mut others = u64::MAX;
+        let mut laggard = lane;
+        for (j, s) in self.slots.iter().enumerate() {
+            let c = s.clock.load(Ordering::Acquire);
+            if j != lane && c < others {
+                others = c;
+                laggard = j;
+            }
+        }
+        // Revoke only a lease the laggard's next crossing could pass on.
+        let lease = &self.slots[laggard].lease;
+        if others < now.saturating_sub(self.quantum)
+            && laggard != lane ^ 1
+            && lease.load(Ordering::Relaxed) >= others.saturating_add(self.quantum)
+        {
+            lease.store(0, Ordering::Relaxed);
+        }
+        let m = others.min(now);
         debug_assert!(
             bound_before <= m,
             "gate root bound {bound_before} overtook the true min {m}"
         );
         if self.width > 1 {
-            self.tree[0].fetch_max(m, Ordering::SeqCst);
+            self.tree[0].fetch_max(m, Ordering::AcqRel);
         }
-        m
+        others
     }
 
     /// Publish `now` for `lane`; park while this lane is more than one
-    /// quantum ahead of the minimum.
+    /// quantum ahead of the minimum. The fast path reads only this
+    /// lane's own lease.
+    #[inline]
     pub(crate) fn sync(&self, lane: usize, now: u64) {
         debug_assert!(
-            self.clocks[lane].load(Ordering::Relaxed) <= now,
+            self.slots[lane].clock.load(Ordering::Relaxed) <= now,
             "lane {lane} clock ran backwards"
         );
-        self.clocks[lane].store(now, Ordering::SeqCst);
-        let bound = self.root_bound();
-        if now <= bound.saturating_add(self.quantum) {
-            // Within the root bound; the root never exceeds the true
-            // minimum, so the real skew bound holds too.
+        let slot = &self.slots[lane];
+        slot.clock.store(now, Ordering::Release);
+        if now <= slot.lease.load(Ordering::Relaxed) {
+            // Within the lease: the other lanes were at least
+            // `lease - quantum` when it was granted, and clocks only rise.
             return;
         }
-        self.sync_slow(lane, now);
+        self.renew(lane, now);
     }
 
+    /// Cold path of [`Self::sync`]: climb, lease again against the peer
+    /// bound, and park if even the exact minimum is too far behind.
     #[cold]
-    fn sync_slow(&self, lane: usize, now: u64) {
-        // The root may be stale only along paths nobody climbed lately;
-        // refresh our own path first — usually the whole story, since we
-        // just published the largest clock on it.
-        self.climb(lane);
-        if now <= self.root_bound().saturating_add(self.quantum) {
-            return;
+    fn renew(&self, lane: usize, now: u64) {
+        let slot = &self.slots[lane];
+        bump(&slot.renewals);
+        let lease = &slot.lease;
+        let held = lease.load(Ordering::Relaxed);
+        // Refresh our own path first: pollers watching it see our clock,
+        // and the root may be stale only along paths nobody climbed. Both
+        // the root and the siblings the climb read bound the other lanes'
+        // minimum from below, and this lane is never behind itself, so
+        // `now ≤ bound + quantum` implies the skew bound.
+        let mut bound = self.climb(lane).max(self.root_bound());
+        if now > bound.saturating_add(self.quantum) {
+            // Still over: consult (and publish) the exact minimum. The
+            // minimum lane always passes here — no other lane is behind
+            // it — so the minimum lane never parks and some lane always
+            // runs.
+            bound = bound.max(self.exact_scan(lane, now));
+            if now > bound.saturating_add(self.quantum) {
+                bound = self.park(lane, now, bound);
+            }
         }
-        // Still over: consult (and publish) the exact minimum. The minimum
-        // lane always passes here — the scan returns its own clock — so
-        // the minimum lane never parks and some lane always runs.
-        let m = self.exact_min_and_publish();
-        if now <= m.saturating_add(self.quantum) {
-            return;
-        }
-        // Too far ahead: wait for stragglers. The wait spans zero virtual
-        // time (waiting charges nothing); the trace events mark where this
-        // lane stalled — long waits point at load imbalance.
+        // A revocation that landed since `held` was read stands: this
+        // lane renews again at its next crossing.
+        let _ = lease.compare_exchange(
+            held,
+            bound.saturating_add(self.quantum),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Wait until every other lane comes within a quantum of `now`;
+    /// `others` is the exact scan's minimum of them. Returns the bound
+    /// that released this lane.
+    #[cold]
+    fn park(&self, lane: usize, now: u64, others: u64) -> u64 {
+        // The wait spans zero virtual time (waiting charges nothing); the
+        // trace events mark where this lane stalled — long waits point at
+        // load imbalance.
         crate::trace::emit(crate::trace::EventKind::GateWaitBegin);
-        self.parks.fetch_add(1, Ordering::Relaxed);
+        bump(&self.slots[lane].parks);
         crate::metrics::emit(crate::metrics::Series::GateParks, 1);
         // Skew at park time: how far this lane's clock ran ahead of the
         // exact minimum. (Gauge — the time-series shows imbalance pulses.)
-        crate::metrics::emit(crate::metrics::Series::GateSkew, now - m);
+        crate::metrics::emit(crate::metrics::Series::GateSkew, now - others);
+        let release = now - self.quantum;
         let mut polls: u32 = 0;
-        loop {
+        let bound = loop {
             std::thread::yield_now();
-            if now <= self.peer_bound(lane).saturating_add(self.quantum) {
-                break;
+            if let Some(bound) = self.peers_reach(lane, release) {
+                break bound;
             }
             polls = polls.wrapping_add(1);
             if polls.is_multiple_of(PARK_EXACT_SCAN_PERIOD) {
-                // Backstop: if every path to the root is stale (all its
-                // climbers parked), refresh it exactly rather than spin
-                // on a bound nobody is raising.
-                self.backstops.fetch_add(1, Ordering::Relaxed);
+                // Backstop: if every lane that could raise the polled
+                // bounds is parked, refresh exactly rather than spin on a
+                // bound nobody is raising.
+                bump(&self.slots[lane].backstops);
                 crate::metrics::emit(crate::metrics::Series::GateBackstops, 1);
-                let m = self.exact_min_and_publish();
-                if now <= m.saturating_add(self.quantum) {
-                    break;
+                let others = self.exact_scan(lane, now);
+                if others >= release {
+                    break others;
                 }
             }
-        }
+        };
         crate::trace::emit(crate::trace::EventKind::GateWaitEnd);
+        bound
     }
 
     /// Mark `lane` finished: it no longer constrains the minimum. The
@@ -327,11 +433,50 @@ impl Gate {
     /// waiting for the exact-scan backstop.
     pub(crate) fn finish(&self, lane: usize, final_clock: u64) {
         self.finals[lane].store(final_clock, Ordering::SeqCst);
-        self.clocks[lane].store(u64::MAX, Ordering::SeqCst);
+        self.slots[lane].clock.store(u64::MAX, Ordering::SeqCst);
         if self.width > 1 {
             self.climb(lane);
         }
     }
+}
+
+/// A lane's shared state, on two padded lines: the clock, which parked
+/// peers poll, and the rest, which only the lane itself reads on its fast
+/// path. Sharing one line made every fast-path lease read miss behind a
+/// peer's poll.
+struct Slot {
+    /// Leaf clock: the lane publishes here on every crossing.
+    clock: CachePadded<AtomicU64>,
+    /// The lane may publish any clock up to its lease without reading
+    /// another lane. Always ≤ (a lower bound on the other lanes' minimum)
+    /// + quantum; a parked lane revokes it by zeroing it.
+    lease: AtomicU64,
+    /// Diagnostics, written only by the lane itself ([`bump`]) and
+    /// summed by [`Gate::park_count`] and its siblings. Per-lane counters
+    /// spare every crossing a shared line that each park would invalidate.
+    parks: AtomicU64,
+    backstops: AtomicU64,
+    renewals: AtomicU64,
+}
+
+impl Slot {
+    /// Every clock starts at 0, so 0 + quantum is a valid first lease.
+    fn new(quantum: u64) -> Self {
+        Slot {
+            clock: CachePadded::new(AtomicU64::new(0)),
+            lease: AtomicU64::new(quantum),
+            parks: AtomicU64::new(0),
+            backstops: AtomicU64::new(0),
+            renewals: AtomicU64::new(0),
+        }
+    }
+}
+
+/// Count one event on a counter only its own lane writes: a plain load
+/// and store, no read-modify-write.
+#[inline]
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 /// Configuration for one simulated multi-threaded run.
@@ -359,6 +504,9 @@ pub struct SimOutcome {
     /// Exact-scan backstops fired during the run ([`Gate::backstop_count`]).
     /// Wallclock scheduling detail, like `gate_parks`.
     pub gate_backstops: u64,
+    /// Lease renewals during the run ([`Gate::renewal_count`]). Wallclock
+    /// scheduling detail, like `gate_parks`.
+    pub gate_renewals: u64,
 }
 
 impl Sim {
@@ -455,6 +603,7 @@ impl Sim {
             makespan,
             gate_parks: gate.park_count(),
             gate_backstops: gate.backstop_count(),
+            gate_renewals: gate.renewal_count(),
         }
     }
 }
@@ -499,6 +648,8 @@ mod tests {
             0,
             "a 1-lane simulation waited on the gate"
         );
+        // With no siblings its first renewal leases up to `u64::MAX`.
+        assert!(gate.renewal_count() <= 1, "a lone lane renewed its lease twice");
     }
 
     #[test]
@@ -596,6 +747,76 @@ mod tests {
         });
         assert_eq!(gate.park_count(), 1);
         assert_eq!(gate.backstop_count(), 0, "the park waited for a backstop");
+    }
+
+    /// Yield until `cond` holds (test lanes wait on each other's gate
+    /// state without charging).
+    fn await_until(cond: impl Fn() -> bool) {
+        while !cond() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn trailing_lane_renews_only_past_peer_plus_quantum() {
+        // Lane 1 parks at 10_000. Lane 0's first crossing renews its lease
+        // to 10_000 + quantum; every crossing up to there stays on the
+        // fast path, and the first one past it renews.
+        let sim = Sim {
+            threads: 2,
+            quantum: 200,
+            profile: CostProfile::Haswell,
+        };
+        let gate = Arc::new(Gate::new(sim.threads, sim.quantum, sim.profile));
+        sim.run_on(Arc::clone(&gate), |lane| {
+            if lane == 1 {
+                clock::charge_cycles(10_000);
+                return;
+            }
+            await_until(|| gate.park_count() == 1);
+            while clock::now() < 10_200 {
+                clock::charge_cycles(3);
+            }
+            assert_eq!(gate.renewal_count(), 2, "renewed short of peer + quantum");
+            clock::charge_cycles(200);
+            assert_eq!(gate.renewal_count(), 3, "crossed its lease on the fast path");
+        });
+    }
+
+    #[test]
+    fn revoked_lane_climbs_at_its_next_crossing() {
+        // Lanes 0 and 2 are not leaf siblings, so lane 2 parked sees lane
+        // 0 only through the node its climbs refresh. Lane 0 holds a lease
+        // to 1_200 when lane 2 parks at 11_000 and revokes it: lane 0's
+        // next crossing, at 1_100, renews and climbs instead of passing.
+        let sim = Sim {
+            threads: 4,
+            quantum: 200,
+            profile: CostProfile::Haswell,
+        };
+        let gate = Arc::new(Gate::new(sim.threads, sim.quantum, sim.profile));
+        let finished = |j: usize| gate.slots[j].clock.load(Ordering::Acquire) == u64::MAX;
+        sim.run_on(Arc::clone(&gate), |lane| match lane {
+            2 => {
+                await_until(|| finished(1) && finished(3));
+                clock::charge_cycles(1_000);
+                clock::charge_cycles(10_000);
+            }
+            0 => {
+                await_until(|| gate.park_count() == 1);
+                clock::charge_cycles(900);
+                assert_eq!(gate.slots[0].lease.load(Ordering::Relaxed), 1_200);
+                await_until(|| gate.park_count() == 2);
+                assert_eq!(gate.slots[0].lease.load(Ordering::Relaxed), 0, "not revoked");
+                let before = gate.renewal_count();
+                clock::charge_cycles(200);
+                assert_eq!(gate.renewal_count(), before + 1, "revoked lease not renewed");
+                assert_eq!(gate.tree[1].load(Ordering::Acquire), 1_100, "no climb");
+                clock::charge_cycles(10_000);
+            }
+            _ => {}
+        });
+        assert_eq!(gate.backstop_count(), 0);
     }
 
     #[test]
