@@ -48,3 +48,8 @@ cargo test -q --test golden_makespan golden_lane_private_64lane
 
 echo "== lincheck matrix: every structure variant, adaptive-middle and composed included"
 cargo test -q --release -p pto-check --test lincheck
+
+echo "== perfbench unit tests: fabricated bad outcomes and the metric catalogue"
+# perfbench is its own cargo workspace, so the workspace runs above never
+# build it; its tests check that the benchmark rejects bad samples.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml

@@ -14,8 +14,11 @@
 //! measurement and are deduplicated (newest wins) rather than appended,
 //! and a soft regression rail prints a warning when a just-measured
 //! metric is more than [`RAIL_FACTOR`]× worse than its median over the
-//! last [`RAIL_WINDOW`] records — a visible nudge, never a hard failure,
-//! because wallclock on shared hosts is noise.
+//! last [`RAIL_WINDOW`] comparable records — a visible nudge, never a hard
+//! failure, because wallclock on shared hosts is noise. Each record
+//! carries its mode and a host fingerprint (`nproc`, `cpu_model`), and a
+//! record is comparable only when all three match this run: check-mode
+//! history says nothing about a full-mode run, nor one host about another.
 //!
 //! Paths timed:
 //!
@@ -345,6 +348,40 @@ fn push_deduped(history: &mut Vec<json::Value>, record: json::Value) {
     history.push(record);
 }
 
+/// This host's fingerprint: logical CPU count and CPU model name (from
+/// `/proc/cpuinfo`; `"unknown"` where that is unreadable).
+fn host_fingerprint() -> (u64, String) {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    (nproc, model)
+}
+
+/// The history records a run in `mode` on host `(nproc, cpu_model)` may
+/// be compared against: same mode, same fingerprint, oldest first.
+/// Records written before records carried a fingerprint never match.
+fn comparable<'a>(
+    history: &'a [json::Value],
+    mode: &str,
+    (nproc, cpu_model): (u64, &str),
+) -> Vec<&'a json::Value> {
+    history
+        .iter()
+        .filter(|r| {
+            r.get("mode").and_then(|m| m.as_str()) == Some(mode)
+                && r.get("nproc").and_then(|n| n.as_f64()) == Some(nproc as f64)
+                && r.get("cpu_model").and_then(|c| c.as_str()) == Some(cpu_model)
+        })
+        .collect()
+}
+
 /// How many trailing history records the soft regression rail medians over.
 const RAIL_WINDOW: usize = 10;
 /// A current metric more than this factor worse than its trailing median
@@ -353,10 +390,11 @@ const RAIL_FACTOR: f64 = 1.5;
 
 /// Soft regression rail: compare each just-measured metric against the
 /// median of the same metric over the last [`RAIL_WINDOW`] history
-/// records, and *warn* when it is more than [`RAIL_FACTOR`]× worse.
-/// Wallclock on a shared CI host is far too noisy for a hard gate, but a
-/// sustained regression shows up here without anyone diffing the file.
-fn soft_regression_rail(history: &[json::Value], current: &[(&str, f64)]) {
+/// records (already filtered by [`comparable`]), and *warn* when it is
+/// more than [`RAIL_FACTOR`]× worse. Wallclock on a shared CI host is far
+/// too noisy for a hard gate, but a sustained regression shows up here
+/// without anyone diffing the file.
+fn soft_regression_rail(history: &[&json::Value], current: &[(&str, f64)]) {
     let recent = &history[history.len().saturating_sub(RAIL_WINDOW)..];
     for &(key, now) in current {
         let mut prior: Vec<f64> = recent
@@ -437,8 +475,10 @@ fn main() {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
+    let (nproc, cpu_model) = host_fingerprint();
     let record_json = format!(
         "{{\"mode\": \"{mode}\", \"unix_ts\": {unix_ts}, \
+         \"nproc\": {nproc}, \"cpu_model\": \"{cpu}\", \
          \"current\": {{\"charge_1lane_ns\": {c1}, \"charge_sync_ns\": {cs}, \
          \"txn_ns\": {ct}, \"pool_ns\": {cp}, \"mini_run_all_s\": {cm}}}, \
          \"speedup\": {{\"charge_1lane\": {s1}, \"charge_sync\": {ss}, \
@@ -454,12 +494,19 @@ fn main() {
         st = fmt_f64(ratio(BASELINE_TXN_NS, txn)),
         sp = fmt_f64(ratio(BASELINE_POOL_NS, pool)),
         sm = fmt_f64(ratio(BASELINE_MINI_RUN_ALL_S, mini)),
+        cpu = json::escape(&cpu_model),
         lanes_json = lanes_json.replace('\n', " ").replace("    ", ""),
     );
 
     let prior = prior_history();
+    let like = comparable(&prior, mode, (nproc, &cpu_model));
+    println!(
+        "  soft rail: {} of {} prior record(s) match this mode and host",
+        like.len(),
+        prior.len()
+    );
     soft_regression_rail(
-        &prior,
+        &like,
         &[
             ("charge_1lane_ns", charge_1lane),
             ("charge_sync_ns", charge_sync),
@@ -605,5 +652,49 @@ fn main() {
              (sublinear min-tracking regressed?)"
         );
         check_sharded_determinism();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(mode: &str, fingerprint: Option<(u64, &str)>, ts: u64) -> json::Value {
+        let host = fingerprint.map_or(String::new(), |(n, cpu)| {
+            format!(", \"nproc\": {n}, \"cpu_model\": \"{cpu}\"")
+        });
+        json::Value::parse(&format!("{{\"mode\": \"{mode}\", \"unix_ts\": {ts}{host}}}")).unwrap()
+    }
+
+    #[test]
+    fn rail_compares_only_same_mode_and_host() {
+        let here = (2, "Xeon A");
+        let history = vec![
+            record("check", Some(here), 1),
+            record("full", Some(here), 2),
+            record("full", Some((4, "Xeon A")), 3),
+            record("full", Some((2, "Xeon B")), 4),
+            record("full", None, 5),
+            record("full", Some(here), 6),
+        ];
+        let ts = |rs: Vec<&json::Value>| -> Vec<f64> {
+            rs.iter().map(|r| r.get("unix_ts").unwrap().as_f64().unwrap()).collect()
+        };
+        assert_eq!(ts(comparable(&history, "full", here)), [2.0, 6.0]);
+        assert_eq!(ts(comparable(&history, "check", here)), [1.0]);
+        assert!(comparable(&history, "check", (4, "Xeon A")).is_empty());
+    }
+
+    #[test]
+    fn emitted_fingerprint_round_trips_through_the_filter() {
+        // The record `main` writes must match its own filter, or the rail
+        // would never compare anything.
+        let (nproc, cpu) = host_fingerprint();
+        let text = format!(
+            "{{\"mode\": \"full\", \"unix_ts\": 1, \"nproc\": {nproc}, \"cpu_model\": \"{}\"}}",
+            json::escape(&cpu)
+        );
+        let history = vec![json::Value::parse(&text).unwrap()];
+        assert_eq!(comparable(&history, "full", (nproc, &cpu)).len(), 1);
     }
 }
