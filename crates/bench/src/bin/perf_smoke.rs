@@ -663,7 +663,10 @@ mod tests {
         let host = fingerprint.map_or(String::new(), |(n, cpu)| {
             format!(", \"nproc\": {n}, \"cpu_model\": \"{cpu}\"")
         });
-        json::Value::parse(&format!("{{\"mode\": \"{mode}\", \"unix_ts\": {ts}{host}}}")).unwrap()
+        json::Value::parse(&format!(
+            "{{\"mode\": \"{mode}\", \"unix_ts\": {ts}{host}}}"
+        ))
+        .unwrap()
     }
 
     #[test]
@@ -678,7 +681,9 @@ mod tests {
             record("full", Some(here), 6),
         ];
         let ts = |rs: Vec<&json::Value>| -> Vec<f64> {
-            rs.iter().map(|r| r.get("unix_ts").unwrap().as_f64().unwrap()).collect()
+            rs.iter()
+                .map(|r| r.get("unix_ts").unwrap().as_f64().unwrap())
+                .collect()
         };
         assert_eq!(ts(comparable(&history, "full", here)), [2.0, 6.0]);
         assert_eq!(ts(comparable(&history, "check", here)), [1.0]);
