@@ -349,7 +349,6 @@ impl Gate {
     /// Publish `now` for `lane`; park while this lane is more than one
     /// quantum ahead of the minimum. The fast path reads only this
     /// lane's own lease.
-    #[inline]
     pub(crate) fn sync(&self, lane: usize, now: u64) {
         let slot = &self.slots[lane];
         debug_assert!(
