@@ -49,6 +49,12 @@ cargo test -q --test golden_makespan golden_lane_private_64lane
 echo "== lincheck matrix: every structure variant, adaptive-middle and composed included"
 cargo test -q --release -p pto-check --test lincheck
 
+echo "== session consumers: pto-check and pto-bench unit tests"
+# The history decoder and explorer (pto-check) and the cell runner's
+# scopes (pto-bench) arm recorder sessions; run their unit tests too.
+cargo test -q -p pto-check --lib
+cargo test -q -p pto-bench --lib
+
 echo "== perfbench unit tests: fabricated bad outcomes and the metric catalogue"
 # perfbench is its own cargo workspace, so the workspace runs above never
 # build it; its tests check that the benchmark rejects bad samples.

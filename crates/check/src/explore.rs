@@ -29,7 +29,7 @@ use crate::record::{decode, RecordedFifo, RecordedPq, RecordedQui, RecordedSet};
 use crate::spec::{FifoSpec, Op, PqSpec, QuiSpec};
 use crate::wgl::{check, check_set_by_key, minimize, CheckOpts, History, SpecKind, Verdict, Witness};
 use pto_core::{ConcurrentSet, FifoQueue, PriorityQueue, Quiescence};
-use pto_sim::history::ScopedHistory;
+use pto_sim::history::HistorySession;
 use pto_sim::rng::{XorShift64, WEYL_STEP};
 use pto_sim::{charge_cycles, Sim};
 
@@ -157,9 +157,8 @@ where
 {
     // Scoped history + scoped injection: the whole recording is private to
     // this thread (and the sim lanes it spawns), so explorer cells for
-    // different variants can run concurrently on the cell runner's workers
-    // without sharing the process-global session.
-    let session = ScopedHistory::arm();
+    // different variants can run concurrently on the cell runner's workers.
+    let session = HistorySession::arm();
     let _inject = sched
         .inject
         .map(|(period, phase)| pto_htm::injection_scope(period, phase));
@@ -178,7 +177,6 @@ where
             }
             body(lane, i, &mut rng);
         }
-        pto_sim::history::flush();
     });
     session.drain()
 }

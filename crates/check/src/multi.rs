@@ -223,8 +223,8 @@ pub fn decode_multi(raw: &RawHistory) -> Result<MultiHistory, DecodeError> {
     }
     let mut lanes = Vec::with_capacity(raw.threads.len());
     for t in &raw.threads {
-        let mut lane = Vec::with_capacity(t.ops.len());
-        let mut it = t.ops.iter();
+        let mut lane = Vec::with_capacity(t.items.len());
+        let mut it = t.items.iter();
         while let Some(o) = it.next() {
             let (op, ret) = match o.op {
                 OP_TRANSFER | OP_TRANSFER_REV => (
@@ -751,7 +751,7 @@ mod tests {
 
     #[test]
     fn pair_wire_encoding_round_trips() {
-        let session = pto_sim::history::ScopedHistory::arm();
+        let session = pto_sim::history::HistorySession::arm();
         let ops = vec![
             mop(0, 5, MOp::A(Op::Enqueue(3)), MRet::One(Ret::Unit)),
             mop(
@@ -777,7 +777,6 @@ mod tests {
         for o in &ops {
             record_mop(o.op, o.ret, o.inv, o.res);
         }
-        pto_sim::history::flush();
         let decoded = decode_multi(&session.drain()).unwrap();
         assert_eq!(decoded.lanes.len(), 1);
         assert_eq!(decoded.lanes[0], ops);

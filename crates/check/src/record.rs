@@ -3,8 +3,8 @@
 //!
 //! Each wrapper brackets the forwarded call with two
 //! [`pto_sim::now`] readings (reading the clock charges nothing) and
-//! records `(op code, arg, encoded ret, inv, res)`. With no session or
-//! [`ScopedHistory`](pto_sim::history::ScopedHistory) armed the record
+//! records `(op code, arg, encoded ret, inv, res)`. With no
+//! [`HistorySession`](pto_sim::history::HistorySession) armed the record
 //! call is a single relaxed load, so wrapping a structure perturbs
 //! nothing when recording is off.
 //!
@@ -223,8 +223,8 @@ pub fn decode(raw: &RawHistory) -> Result<History, DecodeError> {
     }
     let mut lanes = Vec::with_capacity(raw.threads.len());
     for t in &raw.threads {
-        let mut lane = Vec::with_capacity(t.ops.len());
-        for o in &t.ops {
+        let mut lane = Vec::with_capacity(t.items.len());
+        for o in &t.items {
             let (op, ret) = dec_op(o.op, o.arg, o.ret).ok_or(DecodeError::UnknownOp(o.op))?;
             lane.push(HistOp {
                 inv: o.inv,

@@ -12,9 +12,11 @@
 //! each holding an `Arc<dyn Any>` installed by a scope guard. A cell
 //! runner sets its slots, and [`Sim::run`](crate::sched::Sim::run)
 //! propagates them to every lane thread it spawns ([`capture`]/[`adopt`]).
-//! Consumers (`pto-htm` stats, `pto-mem` counters, …) check their slot
-//! first and fall back to the process-global when it is empty, so
-//! single-cell runs and existing tests behave exactly as before.
+//! The recorders (trace, metrics rings, histories and the call-site
+//! profiler) record only where their session's slot is set. The counter
+//! scopes (`pto-htm` stats, `pto-mem` counters, latency histograms) check
+//! their slot first and fall back to their process-global when it is
+//! empty, so single-cell runs and existing tests behave exactly as before.
 //!
 //! The slot array is deliberately flat and fixed-size: a lookup is one
 //! thread-local borrow and an index — cheap enough for abort-injection's
@@ -31,7 +33,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Number of context slots per thread.
-pub const N_SLOTS: usize = 8;
+pub const N_SLOTS: usize = 9;
 
 /// Slot of `pto-htm`'s scoped transaction statistics.
 pub const SLOT_HTM_STATS: usize = 0;
@@ -41,17 +43,21 @@ pub const SLOT_HTM_INJECT: usize = 1;
 pub const SLOT_MEM: usize = 2;
 /// Slot of `pto-bench`'s scoped latency histograms.
 pub const SLOT_LAT: usize = 3;
-/// Slot of `pto-sim`'s scoped history collector.
+/// Slot of `pto-sim`'s history session sink.
 pub const SLOT_HISTORY: usize = 4;
 /// Slot of `pto-sim`'s scoped metrics aggregation block.
 pub const SLOT_METRICS: usize = 5;
 /// Slot of `pto-core`'s call-site profile registry.
 pub const SLOT_PROFILE: usize = 6;
+/// Slot of `pto-sim`'s trace session sink.
+pub const SLOT_TRACE: usize = 7;
+/// Slot of `pto-sim`'s metrics session (counter rings) sink.
+pub const SLOT_METRICS_RING: usize = 8;
 
 type Slot = Option<Arc<dyn Any + Send + Sync>>;
 
 thread_local! {
-    static SLOTS: RefCell<[Slot; N_SLOTS]> = const { RefCell::new([None, None, None, None, None, None, None, None]) };
+    static SLOTS: RefCell<[Slot; N_SLOTS]> = const { RefCell::new([const { None }; N_SLOTS]) };
     static STREAM_KEY: Cell<u64> = const { Cell::new(0) };
 }
 

@@ -9,11 +9,14 @@
 //! The recorded payload is deliberately untyped: an operation is a `u16`
 //! code plus two `u64` words (argument and encoded return value). The
 //! meaning of the codes belongs to the recorder (`pto_check::record`); this
-//! module only owns the timestamping and the per-thread buffering, which
+//! module only owns the typed front end over [`probe`](crate::probe), which
 //! must live next to [`clock`](crate::clock) so the stamps are the same
 //! virtual cycles every other subsystem reports.
 //!
-//! Design constraints mirror [`trace`](crate::trace):
+//! A [`HistorySession`] binds to the arming thread's context and every
+//! `Sim` lane or `par` job that inherits it, so many sessions can record
+//! concurrently on disjoint threads — the sharded lincheck explorer runs
+//! one per cell. Design constraints mirror [`trace`](crate::trace):
 //!
 //! 1. **Zero effect when disarmed.** [`record`] never calls
 //!    [`charge`](crate::charge) and its disarmed path is a single relaxed
@@ -24,39 +27,15 @@
 //!    capacity; overflow increments a drop counter, and a drained history
 //!    that dropped records is unusable for checking (the checker refuses
 //!    incomplete histories).
-//! 3. **No cross-thread coordination on the hot path.** Buffers are
-//!    thread-local; exiting threads park them into a collector the hot path
-//!    never locks.
-//!
-//! Unlike tracing — where a lost buffer merely thins the picture — a lost
-//! history makes the checker unsound, so collection must not depend on TLS
-//! destructor timing: `std::thread::scope` (which `Sim::run` uses) returns
-//! as soon as each worker's closure finishes, *before* the C runtime runs
-//! that thread's TLS destructors, so a buffer parked only by its destructor
-//! can arrive after [`HistorySession::drain`] already emptied the
-//! collector. Recording bodies therefore call [`flush`] as their last
-//! statement — a flush inside the closure happens-before the scope join and
-//! hence before the drain. The destructor still parks as a best-effort
-//! backup for plain `spawn`/`join` threads (pthread join waits out TLS
-//! destructors), and [`RawHistory::lost_threads`] counts any buffer that
-//! was created but never collected so a checker can refuse the history
-//! rather than silently verify a subset.
+//! 3. **Whole histories or a visible loss.** A thread's buffer never
+//!    rotates, so its program order stays in one [`ThreadHistory`].
+//!    [`RawHistory::lost_threads`] counts any buffer that was created but
+//!    never collected, so a checker can refuse the history rather than
+//!    silently verify a subset.
 
-//! Two arming modes share the machinery:
-//!
-//! * [`HistorySession`] — the original **process-global** session (at most
-//!   one armed at a time). Still what single-cell tests use.
-//! * [`ScopedHistory`] — a collector installed in the current thread's
-//!   [`ctx`](crate::ctx) slot and inherited by `Sim::run` lanes. Many
-//!   scoped histories can record concurrently on disjoint worker threads,
-//!   which is what lets `pto-check` shard its explorer cells across
-//!   cores. A thread with a scope installed records into the scope even
-//!   if a global session is armed elsewhere.
-
-use crate::sync::Mutex;
+use crate::{ctx, probe};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::AtomicUsize;
 
 /// Default per-thread operation capacity of a session.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
@@ -78,113 +57,46 @@ pub struct OpRecord {
 }
 
 /// One recording thread's operation sequence, in program order.
-#[derive(Debug)]
-pub struct ThreadHistory {
-    /// The gate lane the thread was attached to at its first record, if any.
-    pub lane: Option<usize>,
-    /// Creation order across all threads of the session (stable id).
-    pub ordinal: u64,
-    pub ops: Vec<OpRecord>,
-    /// Records discarded after the buffer reached the session capacity.
-    pub dropped: u64,
-}
+pub type ThreadHistory = probe::Track<OpRecord>;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static SESSION: AtomicU64 = AtomicU64::new(0);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-static NEXT_ORDINAL: AtomicU64 = AtomicU64::new(0);
+/// Live history sessions in the process (the disarmed check).
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-fn collector() -> &'static Mutex<Vec<ThreadHistory>> {
-    static C: OnceLock<Mutex<Vec<ThreadHistory>>> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// The shared state behind a [`ScopedHistory`]: its own capacity, ordinal
-/// counter, and collector, fully independent of the global session.
-pub struct HistoryScope {
-    capacity: usize,
-    next_ordinal: AtomicU64,
-    collector: Mutex<Vec<ThreadHistory>>,
-}
-
-struct LocalHist {
-    /// The scope this buffer belongs to; `None` = the global session.
-    scope: Option<Arc<HistoryScope>>,
-    session: u64,
-    capacity: usize,
-    hist: ThreadHistory,
-}
-
-/// TLS wrapper whose destructor parks the thread's history when the thread
-/// exits mid-session (scoped sim threads exit before the drain).
-struct LocalSlot {
-    slot: RefCell<Option<LocalHist>>,
-}
-
-impl Drop for LocalSlot {
-    fn drop(&mut self) {
-        if let Some(lh) = self.slot.borrow_mut().take() {
-            park_if_current(lh);
-        }
+impl probe::Kind for OpRecord {
+    type Era = ();
+    const SESSION: &'static str = "HistorySession";
+    const SLOT: usize = ctx::SLOT_HISTORY;
+    const DROP_OLDEST: bool = false;
+    // A split would cut the program-order edges the checker relies on.
+    const ROTATE: bool = false;
+    fn live() -> &'static AtomicUsize {
+        &LIVE
+    }
+    fn ts(&self) -> u64 {
+        self.res
+    }
+    fn buffer(local: &probe::Local) -> &RefCell<Option<probe::Buffer<Self>>> {
+        &local.history
     }
 }
 
-thread_local! {
-    static LOCAL: LocalSlot = const {
-        LocalSlot {
-            slot: RefCell::new(None),
-        }
-    };
-}
-
-fn park_if_current(lh: LocalHist) {
-    match lh.scope {
-        // A scoped buffer parks into its own collector — the Arc in the
-        // buffer keeps the scope alive past any guard, so TLS-destructor
-        // parking is race-free here.
-        Some(scope) => scope.collector.lock().push(lh.hist),
-        None => {
-            if lh.session == SESSION.load(Ordering::Acquire) {
-                collector().lock().push(lh.hist);
-            }
-        }
-    }
-}
-
-/// Park the current thread's buffer into the session collector.
-///
-/// Recording bodies that run under `std::thread::scope` (including every
-/// `Sim::run` lane body) must call this as their **last statement**: scope
-/// join does not wait for TLS destructors, so only an explicit flush is
-/// guaranteed to land before the harness drains. Safe to call when nothing
-/// was recorded or no session is armed (a no-op); recording again after a
-/// flush starts a fresh [`ThreadHistory`] with a new ordinal.
-pub fn flush() {
-    let _ = LOCAL.try_with(|local| {
-        if let Some(lh) = local.slot.borrow_mut().take() {
-            park_if_current(lh);
-        }
-    });
-}
-
-/// True while the current thread would record: a global
-/// [`HistorySession`] is armed or a [`ScopedHistory`] is installed on
-/// this thread (recorders may use this to skip building payloads;
+/// True while the current thread would record: a [`HistorySession`] is
+/// armed in its context (recorders may use this to skip building payloads;
 /// [`record`] is safe to call either way).
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed) || crate::ctx::is_set(crate::ctx::SLOT_HISTORY)
+    probe::live::<OpRecord>() && ctx::is_set(ctx::SLOT_HISTORY)
 }
 
 /// Record one completed operation on the current thread.
 ///
 /// `inv` and `res` are the caller's [`now`](crate::now) readings bracketing
 /// the operation (reading the clock charges nothing). A no-op (one relaxed
-/// load plus a context-slot check) unless armed for this thread; never
-/// charges virtual time.
+/// load) unless a session is live; records only on threads whose context
+/// carries one. Never charges virtual time.
 #[inline]
 pub fn record(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
-    if !armed() {
+    if !probe::live::<OpRecord>() {
         return;
     }
     record_slow(op, arg, ret, inv, res);
@@ -192,60 +104,12 @@ pub fn record(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
 
 #[cold]
 fn record_slow(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
-    let scope = crate::ctx::get::<HistoryScope>(crate::ctx::SLOT_HISTORY);
-    let session = SESSION.load(Ordering::Acquire);
-    // try_with: records arriving while TLS is being torn down are dropped.
-    let _ = LOCAL.try_with(|local| {
-        let mut slot = local.slot.borrow_mut();
-        let stale = match (slot.as_ref(), &scope) {
-            (None, _) => true,
-            // Scoped recording: the buffer must belong to *this* scope.
-            (Some(lh), Some(sc)) => match &lh.scope {
-                Some(cur) => !Arc::ptr_eq(cur, sc),
-                None => true,
-            },
-            // Global recording: no scope may linger, session must match.
-            (Some(lh), None) => lh.scope.is_some() || lh.session != session,
-        };
-        if stale {
-            // A buffer for a different owner parks rather than vanishes.
-            if let Some(old) = slot.take() {
-                park_if_current(old);
-            }
-            let (capacity, ordinal) = match &scope {
-                Some(sc) => (
-                    sc.capacity,
-                    sc.next_ordinal.fetch_add(1, Ordering::Relaxed),
-                ),
-                None => (
-                    CAPACITY.load(Ordering::Acquire),
-                    NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed),
-                ),
-            };
-            *slot = Some(LocalHist {
-                scope: scope.clone(),
-                session,
-                capacity,
-                hist: ThreadHistory {
-                    lane: crate::clock::current_lane(),
-                    ordinal,
-                    ops: Vec::with_capacity(capacity.min(1024)),
-                    dropped: 0,
-                },
-            });
-        }
-        let lh = slot.as_mut().unwrap();
-        if lh.hist.ops.len() >= lh.capacity {
-            lh.hist.dropped += 1;
-        } else {
-            lh.hist.ops.push(OpRecord {
-                inv,
-                res,
-                op,
-                arg,
-                ret,
-            });
-        }
+    probe::record(|_, _| OpRecord {
+        inv,
+        res,
+        op,
+        arg,
+        ret,
     });
 }
 
@@ -254,17 +118,17 @@ fn record_slow(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
 #[derive(Debug)]
 pub struct RawHistory {
     pub threads: Vec<ThreadHistory>,
-    /// Buffers created during the session that never reached the collector
-    /// (a recording body exited without [`flush`] and its TLS destructor
-    /// lost the race with the drain). Nonzero means the history is
-    /// incomplete and must not be checked.
+    /// Buffers created during the session that never reached its sink (a
+    /// recording thread outside `Sim` and `par` was still running, or its
+    /// TLS destructor lost the race with the drain). Nonzero means the
+    /// history is incomplete and must not be checked.
     pub lost_threads: u64,
 }
 
 impl RawHistory {
     /// Total recorded operations across all threads.
     pub fn ops(&self) -> usize {
-        self.threads.iter().map(|t| t.ops.len()).sum()
+        self.threads.iter().map(|t| t.items.len()).sum()
     }
 
     /// Total operations discarded due to capacity, across all threads.
@@ -279,19 +143,17 @@ impl RawHistory {
     }
 }
 
-/// A scoped arming of the global history machinery. At most one session can
-/// be armed at a time; [`HistorySession::drain`] (or drop) disarms.
+/// A scoped arming of history recording, bound to the arming thread's
+/// context (and the `Sim` lanes and `par` jobs that inherit it). At most
+/// one session can be armed per context; [`HistorySession::drain`] (or
+/// drop) disarms.
 ///
-/// Drain sees only buffers that were parked — by [`flush`] at the end of
-/// each recording body (required under `Sim::run` / `std::thread::scope`;
-/// see the module docs) or by TLS destructors of plainly-joined threads —
-/// plus the draining thread's own buffer. Arm and drain from the harness
-/// thread that runs the sim; check [`RawHistory::lost_threads`] before
-/// trusting the result.
+/// `Sim` lanes and `par` jobs park their buffers as they finish; any other
+/// scoped thread that records must call
+/// [`probe::flush_local`](crate::probe::flush_local) before it returns.
+/// Check [`RawHistory::lost_threads`] before trusting the result.
 #[must_use = "an unarmed session records nothing; call drain() to collect"]
-pub struct HistorySession {
-    _private: (),
-}
+pub struct HistorySession(probe::Session<OpRecord>);
 
 impl HistorySession {
     /// Arm recording with [`DEFAULT_CAPACITY`] operations per thread.
@@ -301,92 +163,14 @@ impl HistorySession {
 
     /// Arm recording with an explicit per-thread operation capacity.
     ///
-    /// Panics if a session is already armed.
+    /// Panics if a session is already armed in this context.
     pub fn with_capacity(capacity: usize) -> HistorySession {
-        assert!(capacity > 0, "history capacity must be positive");
-        assert!(
-            !ARMED.swap(true, Ordering::SeqCst),
-            "a HistorySession is already armed"
-        );
-        collector().lock().clear();
-        CAPACITY.store(capacity, Ordering::SeqCst);
-        NEXT_ORDINAL.store(0, Ordering::SeqCst);
-        SESSION.fetch_add(1, Ordering::SeqCst);
-        HistorySession { _private: () }
+        HistorySession(probe::Session::arm(capacity))
     }
 
     /// Disarm and collect everything recorded since arming.
     pub fn drain(self) -> RawHistory {
-        ARMED.store(false, Ordering::SeqCst);
-        flush();
-        let mut threads = std::mem::take(&mut *collector().lock());
-        // Every buffer creation allocated an ordinal this session; one
-        // missing from the collector was never parked.
-        let lost_threads = NEXT_ORDINAL.load(Ordering::SeqCst) - threads.len() as u64;
-        threads.retain(|t| !t.ops.is_empty() || t.dropped > 0);
-        threads.sort_by_key(|t| t.ordinal);
-        RawHistory {
-            threads,
-            lost_threads,
-        }
-    }
-}
-
-impl Drop for HistorySession {
-    fn drop(&mut self) {
-        // Reached on drain (idempotent) and on an abandoned session.
-        ARMED.store(false, Ordering::SeqCst);
-    }
-}
-
-/// A thread-scoped history recording: installs a private collector in the
-/// current thread's context slot ([`ctx::SLOT_HISTORY`](crate::ctx)),
-/// inherited by every `Sim::run` lane this thread spawns. Unlike
-/// [`HistorySession`], any number of scoped histories may record
-/// concurrently on disjoint threads — the sharded lincheck explorer runs
-/// one per worker.
-///
-/// The same flush discipline applies: recording bodies under
-/// `std::thread::scope` must call [`flush`] as their last statement.
-#[must_use = "records nothing once dropped; call drain() to collect"]
-pub struct ScopedHistory {
-    scope: Arc<HistoryScope>,
-    _guard: crate::ctx::ScopeGuard,
-}
-
-impl ScopedHistory {
-    /// Scope recording to this thread (and its future sim lanes) with
-    /// [`DEFAULT_CAPACITY`] operations per recording thread.
-    pub fn arm() -> ScopedHistory {
-        ScopedHistory::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// Scope recording with an explicit per-thread operation capacity.
-    pub fn with_capacity(capacity: usize) -> ScopedHistory {
-        assert!(capacity > 0, "history capacity must be positive");
-        let scope = Arc::new(HistoryScope {
-            capacity,
-            next_ordinal: AtomicU64::new(0),
-            collector: Mutex::new(Vec::new()),
-        });
-        let guard =
-            crate::ctx::ScopeGuard::install(crate::ctx::SLOT_HISTORY, Arc::clone(&scope) as _);
-        ScopedHistory {
-            scope,
-            _guard: guard,
-        }
-    }
-
-    /// Uninstall the scope and collect everything recorded into it.
-    pub fn drain(self) -> RawHistory {
-        flush();
-        let ScopedHistory { scope, _guard } = self;
-        drop(_guard);
-        let mut threads = std::mem::take(&mut *scope.collector.lock());
-        let lost_threads =
-            scope.next_ordinal.load(Ordering::SeqCst) - threads.len() as u64;
-        threads.retain(|t| !t.ops.is_empty() || t.dropped > 0);
-        threads.sort_by_key(|t| t.ordinal);
+        let (threads, lost_threads) = self.0.drain();
         RawHistory {
             threads,
             lost_threads,
@@ -398,15 +182,8 @@ impl ScopedHistory {
 mod tests {
     use super::*;
 
-    // Sessions are process-global; tests that arm must not overlap.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disarmed_record_is_a_no_op() {
-        let _g = serial();
         record(1, 2, 3, 0, 10);
         let raw = HistorySession::arm().drain();
         assert_eq!(raw.ops(), 0);
@@ -415,7 +192,6 @@ mod tests {
 
     #[test]
     fn records_round_trip_in_program_order() {
-        let _g = serial();
         let session = HistorySession::arm();
         assert!(armed());
         record(1, 100, 1, 0, 5);
@@ -424,11 +200,11 @@ mod tests {
         let own = raw
             .threads
             .iter()
-            .find(|t| t.ops.iter().any(|o| o.arg == 100))
+            .find(|t| t.items.iter().any(|o| o.arg == 100))
             .expect("own thread history");
-        assert_eq!(own.ops.len(), 2);
-        assert_eq!(own.ops[0], OpRecord { inv: 0, res: 5, op: 1, arg: 100, ret: 1 });
-        assert_eq!(own.ops[1], OpRecord { inv: 5, res: 9, op: 2, arg: 200, ret: 0 });
+        assert_eq!(own.items.len(), 2);
+        assert_eq!(own.items[0], OpRecord { inv: 0, res: 5, op: 1, arg: 100, ret: 1 });
+        assert_eq!(own.items[1], OpRecord { inv: 5, res: 9, op: 2, arg: 200, ret: 0 });
         // Recording after drain is a no-op.
         record(3, 300, 0, 9, 12);
         let raw2 = HistorySession::arm().drain();
@@ -437,17 +213,19 @@ mod tests {
 
     #[test]
     fn flushed_worker_histories_survive_scope_join() {
-        let _g = serial();
         let session = HistorySession::arm();
+        let inherited = ctx::capture();
         std::thread::scope(|s| {
             s.spawn(|| {
+                ctx::adopt(&inherited);
                 record(7, 1, 0, 0, 1);
                 record(7, 2, 0, 1, 2);
-                flush();
+                probe::flush_local();
             });
             s.spawn(|| {
+                ctx::adopt(&inherited);
                 record(7, 3, 0, 0, 1);
-                flush();
+                probe::flush_local();
             });
         });
         let raw = session.drain();
@@ -463,26 +241,32 @@ mod tests {
     fn joined_thread_history_is_parked_by_tls_destructor() {
         // Plain spawn + join waits for TLS destructors, so the backup
         // parking path collects without an explicit flush.
-        let _g = serial();
         let session = HistorySession::arm();
-        std::thread::spawn(|| record(7, 9, 0, 0, 1))
-            .join()
-            .unwrap();
+        let inherited = ctx::capture();
+        std::thread::spawn(move || {
+            ctx::adopt(&inherited);
+            record(7, 9, 0, 0, 1)
+        })
+        .join()
+        .unwrap();
         let raw = session.drain();
         assert_eq!(raw.lost_threads, 0);
         assert_eq!(raw.ops(), 1);
-        assert_eq!(raw.threads[0].ops[0].arg, 9);
+        assert_eq!(raw.threads[0].items[0].arg, 9);
     }
 
     #[test]
     fn unflushed_scoped_worker_is_counted_as_lost() {
-        // A scoped worker that skips flush() may or may not win the TLS
+        // A scoped worker that skips the flush may or may not win the TLS
         // destructor race against the drain; either way the accounting must
         // balance so the checker can tell whether the history is whole.
-        let _g = serial();
         let session = HistorySession::arm();
+        let inherited = ctx::capture();
         std::thread::scope(|s| {
-            s.spawn(|| record(7, 1, 0, 0, 1));
+            s.spawn(|| {
+                ctx::adopt(&inherited);
+                record(7, 1, 0, 0, 1)
+            });
         });
         let raw = session.drain();
         assert_eq!(raw.threads.len() as u64 + raw.lost_threads, 1);
@@ -491,7 +275,6 @@ mod tests {
 
     #[test]
     fn capacity_overflow_counts_drops() {
-        let _g = serial();
         let session = HistorySession::with_capacity(3);
         for i in 0..10 {
             record(1, i, 0, i, i + 1);
@@ -503,7 +286,6 @@ mod tests {
 
     #[test]
     fn double_arm_panics_and_abandoned_session_disarms() {
-        let _g = serial();
         let session = HistorySession::arm();
         assert!(std::panic::catch_unwind(HistorySession::arm).is_err());
         drop(session); // abandoned: must disarm
@@ -511,45 +293,39 @@ mod tests {
     }
 
     #[test]
-    fn scoped_history_records_without_a_global_session() {
-        let _g = serial();
-        let scoped = ScopedHistory::arm();
-        assert!(armed(), "scope must arm the current thread");
+    fn sim_lane_histories_park_at_detach() {
+        let session = HistorySession::arm();
+        assert!(armed(), "a session must arm the current thread");
         let out = crate::Sim::new(2).run(|lane| {
             let t0 = crate::now();
             crate::charge_cycles(10);
             record(9, lane as u64, 0, t0, crate::now());
-            flush();
         });
         assert_eq!(out.per_thread.len(), 2);
-        let raw = scoped.drain();
+        let raw = session.drain();
         assert_eq!(raw.lost_threads, 0);
         assert_eq!(raw.ops(), 2);
-        assert!(!armed(), "dropping the scope disarms the thread");
-        // Nothing leaked into the global machinery.
-        let global = HistorySession::arm().drain();
-        assert_eq!(global.ops(), 0);
+        assert!(!armed(), "draining disarms the thread");
+        // Nothing leaks into a later session.
+        assert_eq!(HistorySession::arm().drain().ops(), 0);
     }
 
     #[test]
-    fn concurrent_scoped_histories_stay_isolated() {
-        // Two worker threads, each its own scope and its own 2-lane sim:
-        // the sharded-lincheck shape. Each drain must see exactly its own
-        // cell's ops.
-        let _g = serial();
+    fn concurrent_sessions_stay_isolated() {
+        // Four worker threads, each its own session and its own 2-lane
+        // sim: the sharded-lincheck shape. Each drain must see exactly its
+        // own cell's ops.
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for cell in 0..4u64 {
                 handles.push(s.spawn(move || {
-                    let scoped = ScopedHistory::arm();
-                    crate::Sim::new(2).run(|lane| {
+                    let session = HistorySession::arm();
+                    crate::Sim::new(2).run(|_| {
                         for i in 0..10 + cell {
                             record(1, cell * 1000 + i, 0, i, i + 1);
-                            let _ = lane;
                         }
-                        flush();
                     });
-                    (cell, scoped.drain())
+                    (cell, session.drain())
                 }));
             }
             for h in handles {
@@ -558,7 +334,7 @@ mod tests {
                 assert_eq!(raw.ops() as u64, 2 * (10 + cell), "cell {cell}");
                 for t in &raw.threads {
                     assert!(
-                        t.ops.iter().all(|o| o.arg / 1000 == cell),
+                        t.items.iter().all(|o| o.arg / 1000 == cell),
                         "cell {cell} saw a foreign record"
                     );
                 }
@@ -567,25 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn scope_wins_over_an_armed_global_session() {
-        let _g = serial();
-        let session = HistorySession::arm();
-        let scoped = ScopedHistory::arm();
-        record(5, 42, 0, 0, 1);
-        let raw = scoped.drain();
-        assert_eq!(raw.ops(), 1);
-        assert_eq!(session.drain().ops(), 0);
-    }
-
-    #[test]
     fn lane_is_captured_from_the_gate() {
-        let _g = serial();
         let session = HistorySession::arm();
         let out = crate::Sim::new(2).run(|lane| {
             let t0 = crate::now();
             crate::charge_cycles(10);
             record(9, lane as u64, 0, t0, crate::now());
-            flush();
         });
         assert_eq!(out.per_thread.len(), 2);
         let raw = session.drain();
@@ -593,7 +356,7 @@ mod tests {
         let lanes: Vec<Option<usize>> = raw.threads.iter().map(|t| t.lane).collect();
         assert!(lanes.contains(&Some(0)) && lanes.contains(&Some(1)), "{lanes:?}");
         for t in &raw.threads {
-            assert!(t.ops.iter().all(|o| o.res >= o.inv));
+            assert!(t.items.iter().all(|o| o.res >= o.inv));
         }
     }
 }

@@ -39,6 +39,9 @@
 //! * [`history`] — operation-history recording (invocation/response with
 //!   virtual timestamps) consumed by the `pto-check` linearizability
 //!   checker.
+//! * [`probe`] — the per-thread recorder behind trace, metrics and
+//!   history: one buffer per kind per thread, one sink per session bound
+//!   to the arming thread's [`ctx`] slot, one drain.
 //! * [`json`] — a minimal JSON reader backing the trace validator.
 //! * [`ctx`] — scoped per-thread context slots (stats scopes, injection
 //!   schedules, RNG stream keys) inherited by [`Sim`] lane threads, the
@@ -62,6 +65,7 @@ pub mod json;
 pub mod metrics;
 pub mod pad;
 pub mod par;
+pub mod probe;
 pub mod proptest;
 pub mod rng;
 pub mod sched;

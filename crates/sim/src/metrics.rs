@@ -4,7 +4,9 @@
 //! *trajectory* of the load-bearing gauges — commit/abort rates per cause,
 //! fallback occupancy, gate skew and park/backstop counts, epoch lag, pool
 //! magazine occupancy, limbo depth — as virtual-time-stamped samples in
-//! bounded per-lane rings. A drained [`MetricsSession`] exports the series
+//! bounded per-lane rings. A [`MetricsSession`] arms the rings in its
+//! thread's context through [`probe`](crate::probe), the recorder shared
+//! with trace and history; drained, it exports the series
 //! as Perfetto **counter tracks**, either standalone
 //! ([`Metrics::to_chrome_json`]) or merged into a trace export
 //! ([`Trace::to_chrome_json_with_metrics`](crate::trace::Trace::to_chrome_json_with_metrics))
@@ -29,16 +31,14 @@
 //!    sample, so dropping old samples loses time resolution but the latest
 //!    sample's count stays exact.
 //! 3. **No cross-thread coordination on the hot path.** Rings are
-//!    thread-local; finished rings park into a collector at thread exit or
-//!    on a clock-era rotation, exactly like trace tracks.
+//!    thread-local; finished rings park into the session's sink when the
+//!    lane detaches or on a clock-era rotation, exactly like trace tracks.
 
-use crate::ctx;
-use crate::sync::Mutex;
+use crate::{ctx, probe};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Default per-thread sample capacity of a session.
 pub const DEFAULT_CAPACITY: usize = 1 << 14;
@@ -189,199 +189,91 @@ pub struct Sample {
 }
 
 /// One thread's (one clock-era's) sample ring, oldest-dropped.
-#[derive(Debug)]
-pub struct MetricsTrack {
-    /// The gate lane the thread was attached to at the first sample.
-    pub lane: Option<usize>,
-    /// Creation order across all tracks of the session (stable export id).
-    pub ordinal: u64,
-    pub samples: VecDeque<Sample>,
-    /// Samples evicted from the front after the ring filled.
-    pub dropped: u64,
-}
+pub type MetricsTrack = probe::Track<Sample>;
 
-impl MetricsTrack {
-    fn new(capacity: usize) -> MetricsTrack {
-        MetricsTrack {
-            lane: crate::clock::current_lane(),
-            ordinal: NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed),
-            samples: VecDeque::with_capacity(capacity.min(1024)),
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, s: Sample, capacity: usize) {
-        if self.samples.len() >= capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(s);
-    }
-}
-
-/// Count of live arming sources: +1 for an armed [`MetricsSession`], +1
-/// per live [`MetricsScope`]. The disarmed [`emit`] path is exactly one
+/// Count of live arming sources: +1 per armed [`MetricsSession`], +1 per
+/// live [`MetricsScope`]. The disarmed [`emit`] path is exactly one
 /// relaxed load of this.
-static ENABLED: AtomicU32 = AtomicU32::new(0);
-static SESSION_ARMED: AtomicBool = AtomicBool::new(false);
-static SESSION: AtomicU64 = AtomicU64::new(0);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-static NEXT_ORDINAL: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-fn collector() -> &'static Mutex<Vec<MetricsTrack>> {
-    static C: OnceLock<Mutex<Vec<MetricsTrack>>> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-struct LocalMetrics {
-    session: u64,
-    capacity: usize,
-    track: MetricsTrack,
-    /// Per-track running totals for cumulative series; reset on rotation
-    /// so each clock era's counters restart from zero.
-    totals: [u64; N_SERIES],
-}
-
-/// TLS wrapper whose destructor parks the thread's track when the thread
-/// exits mid-session (sim lanes exit before the drain).
-struct LocalSlot {
-    slot: RefCell<Option<LocalMetrics>>,
-}
-
-impl Drop for LocalSlot {
-    fn drop(&mut self) {
-        if let Some(lm) = self.slot.borrow_mut().take() {
-            park_if_current(lm);
-        }
+impl probe::Kind for Sample {
+    /// Per-track running totals of the cumulative series; a rotation
+    /// restarts them from zero.
+    type Era = [u64; N_SERIES];
+    const SESSION: &'static str = "MetricsSession";
+    const SLOT: usize = ctx::SLOT_METRICS_RING;
+    // The recent trajectory is the signal: evict the oldest samples.
+    const DROP_OLDEST: bool = true;
+    const ROTATE: bool = true;
+    fn live() -> &'static AtomicUsize {
+        &LIVE
     }
-}
-
-thread_local! {
-    static LOCAL: LocalSlot = const {
-        LocalSlot {
-            slot: RefCell::new(None),
-        }
-    };
-}
-
-fn park_if_current(lm: LocalMetrics) {
-    if lm.session == SESSION.load(Ordering::Acquire) {
-        collector().lock().push(lm.track);
+    fn ts(&self) -> u64 {
+        self.ts
     }
-}
-
-/// Park the calling thread's in-progress track into the collector (if it
-/// belongs to the armed session). Sim lanes call this as they detach from
-/// the gate: `std::thread::scope` joins when a lane's closure returns,
-/// *before* its TLS destructors run, so a drain on the spawning thread
-/// right after `Sim::run` can otherwise race the lane's [`LocalSlot`]
-/// teardown and silently miss that lane's samples. The TLS destructor
-/// stays as the backstop for threads that never attach to a gate.
-pub fn flush_local() {
-    let _ = LOCAL.try_with(|local| {
-        if let Some(lm) = local.slot.borrow_mut().take() {
-            park_if_current(lm);
-        }
-    });
+    fn buffer(local: &probe::Local) -> &RefCell<Option<probe::Buffer<Self>>> {
+        &local.metrics
+    }
 }
 
 /// Record one metric emission on the current thread.
 ///
 /// For cumulative series `value` is the increment; for gauges it is the
-/// new level. A no-op (one relaxed load) unless a [`MetricsSession`] is
-/// armed or a [`MetricsScope`] is live somewhere in the process. Never
-/// charges virtual time.
+/// new level. A no-op (one relaxed load) unless a [`MetricsSession`] or a
+/// [`MetricsScope`] is live somewhere in the process; records only into
+/// those in the thread's context. Never charges virtual time.
 #[inline]
 pub fn emit(series: Series, value: u64) {
-    if ENABLED.load(Ordering::Relaxed) == 0 {
+    if !probe::live::<Sample>() {
         return;
     }
     emit_slow(series, value);
 }
 
-/// Like [`emit`], but the value is computed only when some consumer is
-/// live — for emit sites whose value itself costs something to read
-/// (e.g. a clock difference).
+/// Like [`emit`], but the value is computed only when a consumer is armed
+/// in this thread's context — for emit sites whose value itself costs
+/// something to read (e.g. a clock difference).
 #[inline]
 pub fn emit_with(series: Series, value: impl FnOnce() -> u64) {
-    if ENABLED.load(Ordering::Relaxed) == 0 {
+    if !probe::live::<Sample>() {
         return;
     }
-    emit_slow(series, value());
+    if ctx::is_set(ctx::SLOT_METRICS) || ctx::is_set(ctx::SLOT_METRICS_RING) {
+        emit_slow(series, value());
+    }
 }
 
 #[cold]
 fn emit_slow(series: Series, value: u64) {
     // Per-cell aggregation first: scopes see every emission on threads
     // that inherited their context slot, session or no session.
-    if ctx::is_set(ctx::SLOT_METRICS) {
-        ctx::with::<ScopeBlock, _>(ctx::SLOT_METRICS, |b| {
-            if let Some(b) = b {
-                b.record(series, value);
-            }
-        });
-    }
-    if !SESSION_ARMED.load(Ordering::Relaxed) {
-        return;
-    }
-    let ts = crate::clock::now();
-    let session = SESSION.load(Ordering::Acquire);
-    // try_with: samples emitted during TLS teardown are dropped.
-    let _ = LOCAL.try_with(|local| {
-        let mut slot = local.slot.borrow_mut();
-        let stale = match slot.as_ref() {
-            Some(lm) => lm.session != session,
-            None => true,
-        };
-        if stale {
-            let cap = CAPACITY.load(Ordering::Acquire);
-            *slot = Some(LocalMetrics {
-                session,
-                capacity: cap,
-                track: MetricsTrack::new(cap),
-                totals: [0; N_SERIES],
-            });
+    ctx::with::<ScopeBlock, _>(ctx::SLOT_METRICS, |b| {
+        if let Some(b) = b {
+            b.record(series, value);
         }
-        let lm = slot.as_mut().unwrap();
-        // Rotate on a virtual-clock regression (new sim trial) or a lane
-        // switch, so each track stays ts-monotone and lane-tied.
-        let lane_now = crate::clock::current_lane();
-        let regressed = lm.track.samples.back().is_some_and(|last| ts < last.ts);
-        if regressed || (lane_now != lm.track.lane && !lm.track.samples.is_empty()) {
-            let finished = std::mem::replace(&mut lm.track, MetricsTrack::new(lm.capacity));
-            collector().lock().push(finished);
-            lm.totals = [0; N_SERIES];
-        }
-        let sampled = if series.is_cumulative() {
-            let t = &mut lm.totals[series as usize];
+    });
+    probe::record(|ts, totals: &mut [u64; N_SERIES]| {
+        let value = if series.is_cumulative() {
+            let t = &mut totals[series as usize];
             *t = t.saturating_add(value);
             *t
         } else {
             value
         };
-        let cap = lm.capacity;
-        lm.track.push(
-            Sample {
-                ts,
-                series,
-                value: sampled,
-            },
-            cap,
-        );
+        Sample { ts, series, value }
     });
 }
 
-/// A scoped arming of the global metrics rings. At most one session can be
-/// armed at a time; [`MetricsSession::drain`] (or drop) disarms.
+/// A scoped arming of the metrics rings, bound to the arming thread's
+/// context (and the `Sim` lanes and `par` jobs that inherit it). At most
+/// one session can be armed per context; [`MetricsSession::drain`] (or
+/// drop) disarms.
 ///
 /// Like [`TraceSession`](crate::trace::TraceSession), draining while
-/// worker threads are still running loses their rings: a live thread's
-/// ring parks into the collector only when the thread exits or its clock
-/// rotates. Arm and drain from the harness thread around `Sim::run`.
+/// worker threads are still running loses their rings: drain from the
+/// arming thread after `Sim::run` or the `par` batch returns.
 #[must_use = "an unarmed session records nothing; call drain() to collect"]
-pub struct MetricsSession {
-    _private: (),
-}
+pub struct MetricsSession(probe::Session<Sample>);
 
 impl MetricsSession {
     /// Arm with [`DEFAULT_CAPACITY`] samples per thread.
@@ -391,42 +283,16 @@ impl MetricsSession {
 
     /// Arm with an explicit per-thread sample capacity.
     ///
-    /// Panics if a session is already armed.
+    /// Panics if a session is already armed in this context.
     pub fn with_capacity(capacity: usize) -> MetricsSession {
-        assert!(capacity > 0, "metrics capacity must be positive");
-        assert!(
-            !SESSION_ARMED.swap(true, Ordering::SeqCst),
-            "a MetricsSession is already armed"
-        );
-        collector().lock().clear();
-        CAPACITY.store(capacity, Ordering::SeqCst);
-        NEXT_ORDINAL.store(0, Ordering::SeqCst);
-        SESSION.fetch_add(1, Ordering::SeqCst);
-        ENABLED.fetch_add(1, Ordering::SeqCst);
-        MetricsSession { _private: () }
+        MetricsSession(probe::Session::arm(capacity))
     }
 
     /// Disarm and collect everything recorded since arming.
     pub fn drain(self) -> Metrics {
-        SESSION_ARMED.store(false, Ordering::SeqCst);
-        let _ = LOCAL.try_with(|local| {
-            if let Some(lm) = local.slot.borrow_mut().take() {
-                park_if_current(lm);
-            }
-        });
-        let mut tracks = std::mem::take(&mut *collector().lock());
-        tracks.retain(|t| !t.samples.is_empty() || t.dropped > 0);
-        tracks.sort_by_key(|t| t.ordinal);
-        Metrics { tracks }
-        // `self` drops here: it releases the ENABLED slot (the armed flag
-        // is already clear, so the store in Drop is idempotent).
-    }
-}
-
-impl Drop for MetricsSession {
-    fn drop(&mut self) {
-        SESSION_ARMED.store(false, Ordering::SeqCst);
-        ENABLED.fetch_sub(1, Ordering::SeqCst);
+        Metrics {
+            tracks: self.0.drain().0,
+        }
     }
 }
 
@@ -444,7 +310,7 @@ pub struct Metrics {
 impl Metrics {
     /// Total stored samples across all tracks.
     pub fn samples(&self) -> usize {
-        self.tracks.iter().map(|t| t.samples.len()).sum()
+        self.tracks.iter().map(|t| t.items.len()).sum()
     }
 
     /// Total samples evicted (oldest-dropped), across all tracks.
@@ -456,7 +322,7 @@ impl Metrics {
     pub fn has(&self, series: Series) -> bool {
         self.tracks
             .iter()
-            .any(|t| t.samples.iter().any(|s| s.series == series))
+            .any(|t| t.items.iter().any(|s| s.series == series))
     }
 
     /// Distinct series sampled anywhere in the session, in index order.
@@ -475,7 +341,7 @@ impl Metrics {
         self.tracks
             .iter()
             .map(|t| {
-                t.samples
+                t.items
                     .iter()
                     .rev()
                     .find(|s| s.series == series)
@@ -502,7 +368,7 @@ impl Metrics {
                 Some(&format!("{{\"name\":\"{}\"}}", crate::json::escape(&tname))),
             );
             let mut last_ts = 0u64;
-            for s in &track.samples {
+            for s in &track.items {
                 last_ts = s.ts;
                 crate::trace::push_event(
                     out,
@@ -553,7 +419,7 @@ impl Metrics {
             let n: usize = self
                 .tracks
                 .iter()
-                .map(|t| t.samples.iter().filter(|x| x.series == s).count())
+                .map(|t| t.items.iter().filter(|x| x.series == s).count())
                 .sum();
             let fin = if s.is_cumulative() {
                 self.final_total(s)
@@ -561,7 +427,7 @@ impl Metrics {
                 // Latest observed level across tracks.
                 self.tracks
                     .iter()
-                    .filter_map(|t| t.samples.iter().rev().find(|x| x.series == s))
+                    .filter_map(|t| t.items.iter().rev().find(|x| x.series == s))
                     .map(|x| x.value)
                     .max()
                     .unwrap_or(0)
@@ -629,7 +495,7 @@ impl MetricsScope {
             ctx::SLOT_METRICS,
             Arc::clone(&block) as Arc<dyn std::any::Any + Send + Sync>,
         );
-        ENABLED.fetch_add(1, Ordering::SeqCst);
+        LIVE.fetch_add(1, Ordering::SeqCst);
         MetricsScope {
             block,
             _guard: guard,
@@ -644,7 +510,7 @@ impl MetricsScope {
 
 impl Drop for MetricsScope {
     fn drop(&mut self) {
-        ENABLED.fetch_sub(1, Ordering::SeqCst);
+        LIVE.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -716,21 +582,13 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    // Sessions are process-global; tests that arm must not overlap with
-    // each other (shared with nothing else: only this module's tests and
-    // the dedicated integration tests arm metrics).
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// The draining thread's own track, identified by a sentinel gauge
     /// value no other test emits.
     fn own_track(m: &Metrics, sentinel: u64) -> &MetricsTrack {
         m.tracks
             .iter()
             .find(|t| {
-                t.samples
+                t.items
                     .iter()
                     .any(|s| s.series == Series::LimboDepth && s.value == sentinel)
             })
@@ -739,7 +597,6 @@ mod tests {
 
     #[test]
     fn disarmed_emit_is_a_no_op() {
-        let _g = serial();
         emit(Series::Commits, 1);
         let session = MetricsSession::arm();
         let m = session.drain();
@@ -752,7 +609,6 @@ mod tests {
 
     #[test]
     fn cumulative_series_sample_running_totals() {
-        let _g = serial();
         let session = MetricsSession::arm();
         emit(Series::LimboDepth, 909_001);
         emit(Series::Commits, 1);
@@ -761,7 +617,7 @@ mod tests {
         let m = session.drain();
         let track = own_track(&m, 909_001);
         let commits: Vec<u64> = track
-            .samples
+            .items
             .iter()
             .filter(|s| s.series == Series::Commits)
             .map(|s| s.value)
@@ -771,7 +627,6 @@ mod tests {
 
     #[test]
     fn gauges_sample_levels() {
-        let _g = serial();
         let session = MetricsSession::arm();
         emit(Series::LimboDepth, 909_002);
         emit(Series::PoolMagazine, 7);
@@ -779,7 +634,7 @@ mod tests {
         let m = session.drain();
         let track = own_track(&m, 909_002);
         let mags: Vec<u64> = track
-            .samples
+            .items
             .iter()
             .filter(|s| s.series == Series::PoolMagazine)
             .map(|s| s.value)
@@ -789,7 +644,6 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_oldest_and_totals_stay_exact() {
-        let _g = serial();
         let session = MetricsSession::with_capacity(4);
         emit(Series::LimboDepth, 909_003);
         for _ in 0..10 {
@@ -801,13 +655,13 @@ mod tests {
         let track = m
             .tracks
             .iter()
-            .find(|t| t.samples.back().map(|s| (s.series, s.value)) == Some((Series::Commits, 10)))
+            .find(|t| t.items.back().map(|s| (s.series, s.value)) == Some((Series::Commits, 10)))
             .expect("own track not found");
-        assert_eq!(track.samples.len(), 4, "ring stays at capacity");
+        assert_eq!(track.items.len(), 4, "ring stays at capacity");
         assert_eq!(track.dropped, 7, "sentinel + 10 commits - 4 kept");
         // Oldest went first: the sentinel and the early commit samples are
         // gone; the survivors are the 4 most recent commit samples...
-        let values: Vec<u64> = track.samples.iter().map(|s| s.value).collect();
+        let values: Vec<u64> = track.items.iter().map(|s| s.value).collect();
         assert_eq!(values, vec![7, 8, 9, 10]);
         // ...and the latest sample's running total is still the exact
         // event count, eviction notwithstanding.
@@ -816,7 +670,6 @@ mod tests {
 
     #[test]
     fn double_arm_panics_and_drop_disarms() {
-        let _g = serial();
         let session = MetricsSession::arm();
         let r = std::panic::catch_unwind(MetricsSession::arm);
         assert!(r.is_err(), "second arm must panic");
@@ -824,12 +677,16 @@ mod tests {
         // An abandoned session disarms on drop.
         drop(MetricsSession::arm());
         MetricsSession::arm().drain();
-        assert_eq!(ENABLED.load(Ordering::SeqCst), 0, "arming sources leaked");
+        // Other tests arm concurrently, so the process-wide live count is
+        // not ours to check; this context must be disarmed.
+        assert!(
+            !ctx::is_set(ctx::SLOT_METRICS_RING),
+            "arming sources leaked"
+        );
     }
 
     #[test]
     fn clock_regression_rotates_and_resets_totals() {
-        let _g = serial();
         crate::clock::reset();
         let session = MetricsSession::arm();
         crate::clock::charge_cycles(100);
@@ -844,7 +701,7 @@ mod tests {
         assert_ne!(a.ordinal, b.ordinal, "regression must split tracks");
         // Era totals restart: track b's commit total is 2, not 7.
         let b_total = b
-            .samples
+            .items
             .iter()
             .rev()
             .find(|s| s.series == Series::Commits)
@@ -853,9 +710,9 @@ mod tests {
         assert_eq!(b_total, 2);
         for t in &m.tracks {
             assert!(
-                t.samples
+                t.items
                     .iter()
-                    .zip(t.samples.iter().skip(1))
+                    .zip(t.items.iter().skip(1))
                     .all(|(x, y)| x.ts <= y.ts),
                 "track {} not ts-monotone",
                 t.ordinal
@@ -865,7 +722,6 @@ mod tests {
 
     #[test]
     fn counter_export_validates_with_counter_series() {
-        let _g = serial();
         crate::clock::reset();
         let session = MetricsSession::arm();
         emit(Series::Commits, 1);
@@ -889,7 +745,6 @@ mod tests {
 
     #[test]
     fn scope_aggregates_without_a_session() {
-        let _g = serial();
         let scope = MetricsScope::new();
         emit(Series::Commits, 1);
         emit(Series::Commits, 1);
@@ -902,14 +757,13 @@ mod tests {
         assert_eq!(s.mean(Series::GateSkew), 25.0);
         assert!(!s.is_empty());
         drop(scope);
-        assert_eq!(ENABLED.load(Ordering::SeqCst), 0);
+        assert!(!ctx::is_set(ctx::SLOT_METRICS));
         // With the scope gone, emits are no-ops again.
         emit(Series::Commits, 1);
     }
 
     #[test]
     fn concurrent_scopes_do_not_bleed() {
-        let _g = serial();
         std::thread::scope(|s| {
             for n in 1..=4u64 {
                 s.spawn(move || {
@@ -924,7 +778,6 @@ mod tests {
 
     #[test]
     fn sim_lanes_record_into_the_spawners_scope() {
-        let _g = serial();
         let scope = MetricsScope::new();
         crate::sched::Sim::new(4).run(|_| {
             emit(Series::Commits, 1);
@@ -950,7 +803,6 @@ mod tests {
 
     #[test]
     fn emit_with_is_lazy_when_disarmed() {
-        let _g = serial();
         let mut called = false;
         emit_with(Series::GateSkew, || {
             called = true;

@@ -72,6 +72,9 @@ pub fn run_cells<'a, T: Send + 'a>(jobs: Vec<Job<'a, T>>) -> Vec<T> {
                 .take()
                 .expect("cell runner claimed a job twice");
             let out = job();
+            // The scope join below does not wait for TLS destructors: park
+            // what the job recorded on this thread before the caller drains.
+            crate::probe::flush_local();
             *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
         }
     };
@@ -180,6 +183,27 @@ mod tests {
         });
         for (i, k) in out {
             assert_eq!(k, i + 1);
+        }
+    }
+
+    #[test]
+    fn worker_buffers_park_before_the_batch_returns() {
+        // Each job records once on its worker thread, outside any sim
+        // lane; a drain right after the batch must see every item.
+        use crate::history::{self, HistorySession};
+        use crate::trace::{self, EventKind, TraceSession};
+        for run in 0..200 {
+            let traced = TraceSession::arm();
+            let recorded = HistorySession::arm();
+            map_cells((0..4u64).collect(), |i| {
+                trace::emit(EventKind::EpochAdvance { epoch: i });
+                history::record(1, i, 0, 0, 1);
+            });
+            let t = traced.drain();
+            let h = recorded.drain();
+            assert_eq!(t.events(), 4, "run {run}");
+            assert_eq!(h.ops(), 4, "run {run}");
+            assert_eq!(h.lost_threads, 0, "run {run}");
         }
     }
 }

@@ -585,12 +585,11 @@ impl Sim {
                     struct DetachOnExit;
                     impl Drop for DetachOnExit {
                         fn drop(&mut self) {
-                            // Park observer tracks before detaching: the
+                            // Park recorder buffers before detaching: the
                             // scope join does not wait for this thread's
                             // TLS destructors, so a session drained right
                             // after `run` would miss them.
-                            crate::trace::flush_local();
-                            crate::metrics::flush_local();
+                            crate::probe::flush_local();
                             crate::clock::detach();
                         }
                     }

@@ -3,11 +3,13 @@
 //! Counters (PR 2) say *how often* something happened; this module records
 //! *when*, on the simulator's virtual clock, so commit-point orderings and
 //! fallback interleavings are directly inspectable. Instrumented sites
-//! across the workspace call [`emit`]; while a [`TraceSession`] is armed,
-//! each event is appended to a per-thread bounded buffer stamped with the
-//! thread's current virtual cycle. Draining the session yields a [`Trace`]
-//! that exports to Chrome trace-event JSON (loadable in Perfetto or
-//! `chrome://tracing`) or to an in-terminal span summary.
+//! across the workspace call [`emit`]; while a [`TraceSession`] is armed in
+//! the thread's context, each event is appended to a per-thread bounded
+//! buffer stamped with the thread's current virtual cycle. Draining the
+//! session yields a [`Trace`] that exports to Chrome trace-event JSON
+//! (loadable in Perfetto or `chrome://tracing`) or to an in-terminal span
+//! summary. The buffering, parking and draining live in
+//! [`probe`](crate::probe), shared with metrics and history.
 //!
 //! Design constraints, in order:
 //!
@@ -20,10 +22,9 @@
 //!    capacity; further events increment a drop counter instead of
 //!    reallocating, and the drop count is reported by every exporter.
 //! 3. **No cross-thread coordination on the hot path.** Buffers are
-//!    thread-local; the only shared state is the armed flag and a session
-//!    generation counter. Finished buffers are parked into a collector at
-//!    thread exit (or on a virtual-clock reset) under a mutex that the hot
-//!    path never takes.
+//!    thread-local and park into the session's sink under a mutex the hot
+//!    path takes only when a virtual-clock reset or lane switch rotates
+//!    the track.
 //!
 //! Timestamps are per-lane virtual cycles. The gate scheduler keeps lanes
 //! within roughly one quantum of each other, so cross-track timestamp
@@ -31,11 +32,10 @@
 //! ordering embed it in their payload instead (`TxBegin.rv` / `TxCommit.wv`
 //! are global-version-clock reads, which totally order committed writers).
 
-use crate::sync::Mutex;
+use crate::{ctx, probe};
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::AtomicUsize;
 
 /// Default per-thread event capacity of a session (events beyond it are
 /// counted as dropped, not stored).
@@ -89,104 +89,38 @@ pub struct TraceEvent {
 }
 
 /// One thread's (or one clock-era's) event sequence. `ts` is monotone
-/// within a track by construction: a virtual-clock reset rotates to a new
-/// track instead of recording a regression.
-#[derive(Debug)]
-pub struct Track {
-    /// The gate lane the thread was attached to at the first event, if any.
-    pub lane: Option<usize>,
-    /// Creation order across all tracks of the session (stable export id).
-    pub ordinal: u64,
-    pub events: Vec<TraceEvent>,
-    /// Events discarded after the buffer reached the session capacity.
-    pub dropped: u64,
-}
+/// within a track by construction: a virtual-clock reset or a lane switch
+/// rotates to a new track instead of recording a regression.
+pub type Track = probe::Track<TraceEvent>;
 
-impl Track {
-    fn new(capacity: usize) -> Track {
-        Track {
-            lane: crate::clock::current_lane(),
-            ordinal: NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed),
-            events: Vec::with_capacity(capacity.min(1024)),
-            dropped: 0,
-        }
+/// Live trace sessions in the process (the disarmed check).
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+impl probe::Kind for TraceEvent {
+    type Era = ();
+    const SESSION: &'static str = "TraceSession";
+    const SLOT: usize = ctx::SLOT_TRACE;
+    // Keep the oldest events (the ramp-up); count the rest as dropped.
+    const DROP_OLDEST: bool = false;
+    const ROTATE: bool = true;
+    fn live() -> &'static AtomicUsize {
+        &LIVE
     }
-
-    fn push(&mut self, ts: u64, kind: EventKind, capacity: usize) {
-        if self.events.len() >= capacity {
-            self.dropped += 1;
-        } else {
-            self.events.push(TraceEvent { ts, kind });
-        }
+    fn ts(&self) -> u64 {
+        self.ts
     }
-}
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static SESSION: AtomicU64 = AtomicU64::new(0);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-static NEXT_ORDINAL: AtomicU64 = AtomicU64::new(0);
-
-fn collector() -> &'static Mutex<Vec<Track>> {
-    static C: OnceLock<Mutex<Vec<Track>>> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-struct LocalTrack {
-    session: u64,
-    capacity: usize,
-    track: Track,
-}
-
-/// TLS wrapper whose destructor parks the thread's track when the thread
-/// exits mid-session (scoped sim threads exit before the drain).
-struct LocalSlot {
-    slot: RefCell<Option<LocalTrack>>,
-}
-
-impl Drop for LocalSlot {
-    fn drop(&mut self) {
-        if let Some(lt) = self.slot.borrow_mut().take() {
-            park_if_current(lt);
-        }
+    fn buffer(local: &probe::Local) -> &RefCell<Option<probe::Buffer<Self>>> {
+        &local.trace
     }
-}
-
-thread_local! {
-    static LOCAL: LocalSlot = const {
-        LocalSlot {
-            slot: RefCell::new(None),
-        }
-    };
-}
-
-fn park_if_current(lt: LocalTrack) {
-    if lt.session == SESSION.load(Ordering::Acquire) {
-        collector().lock().push(lt.track);
-    }
-}
-
-/// Park the calling thread's in-progress track into the collector (if it
-/// belongs to the armed session). Sim lanes call this as they detach from
-/// the gate: `std::thread::scope` joins when a lane's closure returns,
-/// *before* its TLS destructors run, so a drain on the spawning thread
-/// right after `Sim::run` can otherwise race the lane's [`LocalSlot`]
-/// teardown and silently miss that lane's events. The TLS destructor
-/// stays as the backstop for threads that never attach to a gate.
-pub fn flush_local() {
-    let _ = LOCAL.try_with(|local| {
-        if let Some(lt) = local.slot.borrow_mut().take() {
-            park_if_current(lt);
-        }
-    });
 }
 
 /// Record one event on the current thread, stamped with its virtual clock.
 ///
-/// A no-op (one relaxed load) unless a [`TraceSession`] is armed. Never
-/// charges virtual time.
+/// A no-op (one relaxed load) unless a [`TraceSession`] is live; records
+/// only on threads whose context carries one. Never charges virtual time.
 #[inline]
 pub fn emit(kind: EventKind) {
-    if !ARMED.load(Ordering::Relaxed) {
+    if !probe::live::<TraceEvent>() {
         return;
     }
     emit_slow(kind);
@@ -194,49 +128,14 @@ pub fn emit(kind: EventKind) {
 
 #[cold]
 fn emit_slow(kind: EventKind) {
-    let ts = crate::clock::now();
-    let session = SESSION.load(Ordering::Acquire);
-    // try_with: events emitted while TLS is being torn down are dropped.
-    let _ = LOCAL.try_with(|local| {
-        let mut slot = local.slot.borrow_mut();
-        let stale = match slot.as_ref() {
-            Some(lt) => lt.session != session,
-            None => true,
-        };
-        if stale {
-            // A pre-arm leftover can only belong to an already-drained
-            // session; discard it and start fresh.
-            *slot = Some(LocalTrack {
-                session,
-                capacity: CAPACITY.load(Ordering::Acquire),
-                track: Track::new(CAPACITY.load(Ordering::Acquire)),
-            });
-        }
-        let lt = slot.as_mut().unwrap();
-        // Rotate to a new track when the virtual clock regressed (a new
-        // sim trial reset it) or the thread switched lanes: each track
-        // stays monotone in ts and tied to one lane.
-        let lane_now = crate::clock::current_lane();
-        let regressed = lt.track.events.last().is_some_and(|last| ts < last.ts);
-        if regressed || (lane_now != lt.track.lane && !lt.track.events.is_empty()) {
-            let finished = std::mem::replace(&mut lt.track, Track::new(lt.capacity));
-            collector().lock().push(finished);
-        }
-        let cap = lt.capacity;
-        lt.track.push(ts, kind, cap);
-    });
+    probe::record(|ts, _| TraceEvent { ts, kind });
 }
 
-/// A scoped arming of the global trace machinery. At most one session can
-/// be armed at a time; [`TraceSession::drain`] (or drop) disarms.
-///
-/// Drain only sees events from threads that have exited (simulator worker
-/// threads are scoped and joined by `Sim::run`) plus the draining thread
-/// itself; arm/drain from the same harness thread that runs the sim.
+/// A scoped arming of tracing, bound to the arming thread's context (and
+/// the `Sim` lanes and `par` jobs that inherit it). At most one session
+/// can be armed per context; [`TraceSession::drain`] (or drop) disarms.
 #[must_use = "an unarmed session records nothing; call drain() to collect"]
-pub struct TraceSession {
-    _private: (),
-}
+pub struct TraceSession(probe::Session<TraceEvent>);
 
 impl TraceSession {
     /// Arm tracing with [`DEFAULT_CAPACITY`] events per thread.
@@ -246,53 +145,24 @@ impl TraceSession {
 
     /// Arm tracing with an explicit per-thread event capacity.
     ///
-    /// Panics if a session is already armed.
+    /// Panics if a session is already armed in this context.
     pub fn with_capacity(capacity: usize) -> TraceSession {
-        assert!(capacity > 0, "trace capacity must be positive");
-        assert!(
-            !ARMED.swap(true, Ordering::SeqCst),
-            "a TraceSession is already armed"
-        );
-        collector().lock().clear();
-        CAPACITY.store(capacity, Ordering::SeqCst);
-        NEXT_ORDINAL.store(0, Ordering::SeqCst);
-        SESSION.fetch_add(1, Ordering::SeqCst);
-        TraceSession { _private: () }
+        TraceSession(probe::Session::arm(capacity))
     }
 
     /// Disarm and collect everything recorded since arming.
     ///
     /// **Draining while worker threads are still running loses their
-    /// buffers.** A live thread's track is parked into the collector only
-    /// when the thread exits (or its clock resets); a drain racing a
-    /// running worker disarms recording but collects none of that worker's
-    /// events — they are silently discarded when the worker finally exits
-    /// into the (by then stale) session. This is by design: the hot path
-    /// takes no lock, so drain cannot steal live thread-local buffers.
-    /// Always drain from the harness thread *after* `Sim::run` (which joins
-    /// its scoped workers) or after `std::thread::scope` returns —
+    /// buffers.** A live thread's track parks only when its lane detaches,
+    /// its `par` job ends, its clock era rotates or the thread exits; the
+    /// hot path takes no lock, so drain cannot steal live buffers. Drain
+    /// from the arming thread after `Sim::run` or the `par` batch returns —
     /// `mid_run_drain_loses_live_thread_buffers` in this module's tests
     /// pins the exact behavior.
     pub fn drain(self) -> Trace {
-        ARMED.store(false, Ordering::SeqCst);
-        // Flush the draining thread's own buffer (prefill or direct calls
-        // may have traced on this thread).
-        let _ = LOCAL.try_with(|local| {
-            if let Some(lt) = local.slot.borrow_mut().take() {
-                park_if_current(lt);
-            }
-        });
-        let mut tracks = std::mem::take(&mut *collector().lock());
-        tracks.retain(|t| !t.events.is_empty() || t.dropped > 0);
-        tracks.sort_by_key(|t| t.ordinal);
-        Trace { tracks }
-    }
-}
-
-impl Drop for TraceSession {
-    fn drop(&mut self) {
-        // Reached on drain (idempotent) and on an abandoned session.
-        ARMED.store(false, Ordering::SeqCst);
+        Trace {
+            tracks: self.0.drain().0,
+        }
     }
 }
 
@@ -371,7 +241,7 @@ pub(crate) fn push_event(
 impl Trace {
     /// Total stored events across all tracks.
     pub fn events(&self) -> usize {
-        self.tracks.iter().map(|t| t.events.len()).sum()
+        self.tracks.iter().map(|t| t.items.len()).sum()
     }
 
     /// Total events discarded due to capacity, across all tracks.
@@ -383,7 +253,7 @@ impl Trace {
     pub fn any(&self, pred: impl Fn(EventKind) -> bool) -> bool {
         self.tracks
             .iter()
-            .any(|t| t.events.iter().any(|e| pred(e.kind)))
+            .any(|t| t.items.iter().any(|e| pred(e.kind)))
     }
 
     /// Export as Chrome trace-event JSON: one track per thread/clock-era,
@@ -441,7 +311,7 @@ impl Trace {
             );
             let mut stack: Vec<&'static str> = Vec::new();
             let mut last_ts = 0u64;
-            for e in &track.events {
+            for e in &track.items {
                 last_ts = e.ts;
                 match phase_of(e.kind) {
                     Ph::Begin(name) => {
@@ -513,7 +383,7 @@ impl Trace {
         let mut instants = 0u64;
         for track in &self.tracks {
             let mut stack: Vec<(&'static str, u64)> = Vec::new();
-            for e in &track.events {
+            for e in &track.items {
                 match e.kind {
                     EventKind::TxCommit { .. } => commits += 1,
                     EventKind::TxAbort { cause } => {
@@ -698,21 +568,13 @@ pub fn validate_chrome(text: &str) -> Result<ChromeCheck, String> {
 mod tests {
     use super::*;
 
-    // Sessions are process-global; tests that arm must not overlap. (Other
-    // modules' tests never arm, and stray events they emit land in tracks
-    // we filter out by sentinel below.)
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// The draining thread's own track, identified by a sentinel instant.
     fn own_track(trace: &Trace, sentinel: u64) -> &Track {
         trace
             .tracks
             .iter()
             .find(|t| {
-                t.events
+                t.items
                     .iter()
                     .any(|e| e.kind == EventKind::EpochAdvance { epoch: sentinel })
             })
@@ -721,7 +583,6 @@ mod tests {
 
     #[test]
     fn disarmed_emit_is_a_no_op() {
-        let _g = serial();
         emit(EventKind::TxBegin { rv: 1 });
         let session = TraceSession::arm();
         let trace = session.drain();
@@ -731,14 +592,13 @@ mod tests {
 
     #[test]
     fn events_round_trip_through_a_session() {
-        let _g = serial();
         let session = TraceSession::arm();
         emit(EventKind::EpochAdvance { epoch: 424_242 });
         emit(EventKind::TxBegin { rv: 7 });
         emit(EventKind::TxCommit { wv: 9 });
         let trace = session.drain();
         let track = own_track(&trace, 424_242);
-        let kinds: Vec<EventKind> = track.events.iter().map(|e| e.kind).collect();
+        let kinds: Vec<EventKind> = track.items.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::TxBegin { rv: 7 }));
         assert!(kinds.contains(&EventKind::TxCommit { wv: 9 }));
         // Emitting after drain records nothing.
@@ -749,7 +609,6 @@ mod tests {
 
     #[test]
     fn capacity_overflow_counts_drops() {
-        let _g = serial();
         let session = TraceSession::with_capacity(4);
         emit(EventKind::EpochAdvance { epoch: 434_343 });
         for i in 0..10 {
@@ -757,7 +616,7 @@ mod tests {
         }
         let trace = session.drain();
         let track = own_track(&trace, 434_343);
-        assert_eq!(track.events.len(), 4);
+        assert_eq!(track.items.len(), 4);
         assert_eq!(track.dropped, 7);
         let json = trace.to_chrome_json();
         assert!(json.contains("trace_dropped"));
@@ -767,7 +626,6 @@ mod tests {
 
     #[test]
     fn double_arm_panics() {
-        let _g = serial();
         let session = TraceSession::arm();
         let r = std::panic::catch_unwind(TraceSession::arm);
         assert!(r.is_err(), "second arm must panic");
@@ -776,7 +634,6 @@ mod tests {
 
     #[test]
     fn abandoned_session_disarms_on_drop() {
-        let _g = serial();
         drop(TraceSession::arm());
         // A fresh session can arm (would panic if still armed).
         TraceSession::arm().drain();
@@ -784,7 +641,6 @@ mod tests {
 
     #[test]
     fn export_validates_and_pairs_spans() {
-        let _g = serial();
         crate::clock::reset();
         let session = TraceSession::arm();
         emit(EventKind::EpochAdvance { epoch: 454_545 });
@@ -809,7 +665,6 @@ mod tests {
 
     #[test]
     fn clock_regression_rotates_to_a_new_track() {
-        let _g = serial();
         crate::clock::reset();
         let session = TraceSession::arm();
         crate::clock::charge_cycles(100);
@@ -822,7 +677,7 @@ mod tests {
         assert_ne!(a.ordinal, b.ordinal, "regression must split tracks");
         for t in &trace.tracks {
             assert!(
-                t.events.windows(2).all(|w| w[0].ts <= w[1].ts),
+                t.items.iter().zip(t.items.iter().skip(1)).all(|(a, b)| a.ts <= b.ts),
                 "track {} not monotone",
                 t.ordinal
             );
@@ -902,17 +757,19 @@ mod tests {
         // Pins the documented drain-while-armed behavior: a drain that
         // races a still-running worker collects nothing from it, and the
         // worker's buffer does not leak into a later session either.
-        let _g = serial();
         let (ready_tx, ready_rx) = std::sync::mpsc::channel();
         let (go_tx, go_rx) = std::sync::mpsc::channel();
         let session = TraceSession::arm();
         emit(EventKind::EpochAdvance { epoch: 494_949 });
+        let inherited = ctx::capture();
         let worker = std::thread::spawn(move || {
+            ctx::adopt(&inherited);
             emit(EventKind::TxBegin { rv: 21 });
             ready_tx.send(()).unwrap();
             // Stay alive across the drain.
             go_rx.recv().unwrap();
-            // Post-drain emits are no-ops (disarmed).
+            // Post-drain emits land in the drained session's sink, if
+            // anywhere, never in a later session.
             emit(EventKind::TxBegin { rv: 22 });
         });
         ready_rx.recv().unwrap();
@@ -935,13 +792,14 @@ mod tests {
 
     #[test]
     fn worker_thread_tracks_are_parked_on_exit() {
-        let _g = serial();
         let session = TraceSession::arm();
         emit(EventKind::EpochAdvance { epoch: 484_848 });
         // A plain `join` waits for the thread to exit, TLS destructors
         // included; a `thread::scope` join returns before they park the
         // track, so the drain below could miss it.
-        std::thread::spawn(|| {
+        let inherited = ctx::capture();
+        std::thread::spawn(move || {
+            ctx::adopt(&inherited);
             emit(EventKind::TxBegin { rv: 11 });
             emit(EventKind::TxAbort { cause: 4 });
         })

@@ -25,7 +25,7 @@ fn committed_spans(trace: &pto_sim::trace::Trace) -> Vec<(u64, u64, u64, u64)> {
     let mut spans = Vec::new();
     for t in &trace.tracks {
         let mut pending: Option<(u64, u64)> = None;
-        for e in &t.events {
+        for e in &t.items {
             match e.kind {
                 EventKind::TxBegin { rv } => pending = Some((e.ts, rv)),
                 EventKind::TxAbort { .. } => pending = None,
@@ -157,7 +157,7 @@ fn fallback_entered_exactly_when_budget_exhausted() {
     tracks.sort_by_key(|t| t.ordinal);
     let seq: String = tracks
         .iter()
-        .flat_map(|t| t.events.iter())
+        .flat_map(|t| t.items.iter())
         .filter_map(|e| match e.kind {
             EventKind::TxBegin { .. } => Some('B'),
             EventKind::TxCommit { .. } => Some('C'),
