@@ -37,23 +37,19 @@ timeout 30 cargo run -q --release -p pto-bench --bin bank_transfer -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin order_book -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin compose_smoke -- --smoke
 
-echo "== sim + core tests: gate liveness, one-step waits, the executor, 64-lane goldens"
-# Every pto-sim unit test (gate invariants up to 256 lanes, the one-step
-# minimum-lane wait rule, observer parking), all of pto-core (executor
-# unit tests, doctests, and the 2-lane composed-anchor waits), and the
-# 64-lane Haswell/NumaIsh golden pair.
-cargo test -q -p pto-sim --lib
+echo "== unit tests: sim, htm, mem, session consumers, the executor, 64-lane goldens"
+# The unit tests of pto-sim (gate invariants up to 256 lanes, the one-step
+# minimum-lane wait rule, observer parking, the counter-scope contract),
+# pto-htm and pto-mem (their counter kinds), pto-check and pto-bench (the
+# history decoder and explorer, the cell runner's scopes); all of pto-core
+# (executor unit tests, doctests, and the 2-lane composed-anchor waits);
+# and the 64-lane Haswell/NumaIsh golden pair.
+cargo test -q --lib -p pto-sim -p pto-htm -p pto-mem -p pto-check -p pto-bench
 cargo test -q -p pto-core
 cargo test -q --test golden_makespan golden_lane_private_64lane
 
 echo "== lincheck matrix: every structure variant, adaptive-middle and composed included"
 cargo test -q --release -p pto-check --test lincheck
-
-echo "== session consumers: pto-check and pto-bench unit tests"
-# The history decoder and explorer (pto-check) and the cell runner's
-# scopes (pto-bench) arm recorder sessions; run their unit tests too.
-cargo test -q -p pto-check --lib
-cargo test -q -p pto-bench --lib
 
 echo "== perfbench unit tests: fabricated bad outcomes and the metric catalogue"
 # perfbench is its own cargo workspace, so the workspace runs above never

@@ -4,12 +4,12 @@
 //! A *cell* is one independent measurement — an (axis, series) point of a
 //! figure, a lincheck variant, a whole table. Running cells concurrently
 //! on OS threads is only sound if each cell's observability is isolated;
-//! [`run_scoped`] installs every scope the workspace offers (HTM stats,
-//! reclamation counters, latency histograms) plus a deterministic RNG
-//! stream key derived from the cell's stable identity, runs the cell body,
-//! and returns the body's value together with the cell's own counter
-//! snapshots. The scopes flush into the process globals on drop, so
-//! whole-run summaries still add up.
+//! [`run_scoped`] installs every counter scope the workspace offers (HTM
+//! stats, reclamation counters, latency histograms, metrics aggregates)
+//! plus a deterministic RNG stream key derived from the cell's stable
+//! identity, runs the cell body, and returns the body's value together
+//! with the cell's own counter snapshots. The HTM scope flushes into the
+//! HTM process globals on drop, so whole-run HTM summaries still add up.
 //!
 //! Determinism: the stream key depends only on the cell's identity (not
 //! on which worker thread or in what order it runs), so a sharded sweep

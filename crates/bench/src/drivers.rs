@@ -211,27 +211,20 @@ mod tests {
     use super::*;
     use pto_skiplist::SkipListSet;
 
-    // Drivers record latencies into the process-global histograms unless a
-    // scope is live; each test scopes them, so `lat`'s global-path tests in
-    // this binary never see these ops.
-
     #[test]
     fn setbench_produces_positive_throughput() {
-        let _lat = lat::LatScope::new();
         let t = setbench(SkipListSet::new_lockfree, 2, 200, 128, 34, 42);
         assert!(t > 0.0);
     }
 
     #[test]
     fn pqbench_produces_positive_throughput() {
-        let _lat = lat::LatScope::new();
         let t = pqbench(pto_skiplist::SkipQueue::new_lockfree, 2, 200, 512, 7);
         assert!(t > 0.0);
     }
 
     #[test]
     fn mbench_produces_positive_throughput() {
-        let _lat = lat::LatScope::new();
         let t = mbench(|| pto_mindicator::LockFreeMindicator::new(64), 2, 200, 1000, 3);
         assert!(t > 0.0);
     }

@@ -13,8 +13,8 @@ pub struct Row {
 }
 
 /// The HTM/reclamation events attributed to one (axis point, series) cell
-/// of a figure: scoped deltas of the process-global counters taken around
-/// that cell's trials (series run sequentially, so the delta is exact).
+/// of a figure, snapshotted from the cell's `HtmScope` and `MemScope`
+/// (installed by [`crate::cells::run_scoped`]).
 #[derive(Clone, Debug)]
 pub struct CauseCell {
     pub axis: usize,
@@ -24,8 +24,7 @@ pub struct CauseCell {
 }
 
 /// The operation-latency distributions of one (axis point, series) cell,
-/// snapshotted from [`crate::lat`]'s accumulators around the cell's
-/// trials.
+/// snapshotted from the cell's [`crate::lat::LatScope`].
 #[derive(Clone, Debug)]
 pub struct LatCell {
     pub axis: usize,

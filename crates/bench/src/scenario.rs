@@ -409,13 +409,8 @@ pub fn order_book(
 mod tests {
     use super::*;
 
-    // Drivers record latencies into the process-global histograms unless a
-    // scope is live; each test scopes them, so `lat`'s global-path tests in
-    // this binary never see these ops.
-
     #[test]
     fn bank_transfer_conserves_tokens_all_series() {
-        let _lat = lat::LatScope::new();
         for series in SERIES {
             let out = bank_transfer(series, 2, 120, 64, 0xBA2C);
             assert!(out.ops_per_ms > 0.0);
@@ -430,7 +425,6 @@ mod tests {
 
     #[test]
     fn bank_transfer_survives_abort_injection() {
-        let _lat = lat::LatScope::new();
         // Kill every 5th would-commit transaction at its commit point; the
         // conservation asserts inside the driver must still hold.
         let _inj = pto_htm::injection_scope(5, 2);
@@ -441,7 +435,6 @@ mod tests {
 
     #[test]
     fn order_book_keeps_book_and_index_consistent() {
-        let _lat = lat::LatScope::new();
         for series in SERIES {
             let out = order_book(series, 2, 120, 0x0B00);
             assert!(out.ops_per_ms > 0.0);
@@ -450,7 +443,6 @@ mod tests {
 
     #[test]
     fn tenant_rows_merge_by_series_and_tenant() {
-        let _lat = lat::LatScope::new();
         let out = bank_transfer("pto", 2, 50, 32, 7);
         let mut acc = Vec::new();
         merge_tenants(&mut acc, &out.tenants);

@@ -11,8 +11,6 @@ use crate::stats;
 use crate::txn::{AbortCause, FenceMode, Txn};
 use crate::TxResult;
 use pto_sim::ctx;
-use pto_sim::metrics::{self, Series};
-use pto_sim::trace::{self, EventKind};
 use pto_sim::{charge, CostKind};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -256,60 +254,40 @@ fn transaction_impl<'e, T>(
     // unsupported instruction would.
     let already = IN_TXN.with(|fl| fl.replace(true));
     if already {
-        stats::record_abort(AbortCause::Nested);
-        metrics::emit(Series::AbortNested, 1);
+        stats::on_nested();
         return (Err(AbortCause::Nested), false);
     }
     let _guard = NestGuard;
 
     charge(CostKind::TxBegin);
-    stats::record_begin();
     let rv = crate::orec::gvc_now();
-    trace::emit(EventKind::TxBegin { rv });
+    stats::on_begin(rv);
     let mut tx = Txn::new(rv, opts.fence_mode, opts.read_cap, opts.write_cap, owned);
     let res = match f(&mut tx) {
         Ok(_) if injection_strikes() => {
             charge(CostKind::TxAbort);
-            stats::record_abort(AbortCause::Spurious);
-            trace::emit(EventKind::TxAbort {
-                cause: AbortCause::Spurious.trace_code(),
-            });
-            metrics::emit(Series::AbortSpurious, 1);
+            stats::on_abort(AbortCause::Spurious);
             Err(AbortCause::Spurious)
         }
         Ok(_) if opts.chaos_abort_pct > 0 && chaos_strikes(opts.chaos_abort_pct) => {
             charge(CostKind::TxAbort);
-            stats::record_abort(AbortCause::Spurious);
-            trace::emit(EventKind::TxAbort {
-                cause: AbortCause::Spurious.trace_code(),
-            });
-            metrics::emit(Series::AbortSpurious, 1);
+            stats::on_abort(AbortCause::Spurious);
             Err(AbortCause::Spurious)
         }
         Ok(val) => match tx.commit() {
             Ok(wv) => {
-                stats::record_commit();
-                trace::emit(EventKind::TxCommit { wv });
-                metrics::emit(Series::Commits, 1);
+                stats::on_commit(wv);
                 Ok(val)
             }
             Err(cause) => {
                 charge(CostKind::TxAbort);
-                stats::record_abort(cause);
-                trace::emit(EventKind::TxAbort {
-                    cause: cause.trace_code(),
-                });
-                metrics::emit(Series::abort_for_code(cause.trace_code()), 1);
+                stats::on_abort(cause);
                 Err(cause)
             }
         },
         Err(abort) => {
             charge(CostKind::TxAbort);
-            stats::record_abort(abort.cause);
-            trace::emit(EventKind::TxAbort {
-                cause: abort.cause.trace_code(),
-            });
-            metrics::emit(Series::abort_for_code(abort.cause.trace_code()), 1);
+            stats::on_abort(abort.cause);
             Err(abort.cause)
         }
     };

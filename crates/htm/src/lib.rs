@@ -40,7 +40,7 @@ pub use exec::{
     transaction_with, InjectionScope, TxOpts,
 };
 pub use orec::{locked_orecs, try_acquire_orec, OrecGuard};
-pub use stats::{reset as reset_stats, snapshot, CauseCounters, HtmScope, HtmSnapshot};
+pub use stats::{snapshot, CauseCounters, HtmScope, HtmSnapshot};
 pub use txn::{last_conflict_orec, Abort, AbortCause, FenceMode, TxResult, Txn};
 pub use word::TxWord;
 

@@ -2,16 +2,17 @@
 //!
 //! Three layers:
 //!
-//! * the **process-global** counters behind [`snapshot`]/[`reset`] record
-//!   every transaction attempt in the process; scoped measurements take a
-//!   snapshot before and after a region and diff them with
+//! * the **process-global** counters behind [`snapshot`] record every
+//!   transaction attempt made outside an [`HtmScope`]; whole-run summaries
+//!   take a snapshot before and after a region and diff them with
 //!   [`HtmSnapshot::delta`];
-//! * [`HtmScope`] is a **cell-scoped** counter block (context slot
-//!   [`ctx::SLOT_HTM_STATS`]): while installed, every attempt on the
-//!   installing thread — and on `Sim` lanes / `par` workers it spawns —
-//!   records into the scope instead of the globals, so concurrent sweep
-//!   cells measure independently. The scope's totals flush into the
-//!   globals when it drops, so whole-run summaries still add up;
+//! * [`HtmScope`] is a **cell-scoped** counter block (a
+//!   [`probe::Scope`] in context slot [`ctx::SLOT_HTM_STATS`]): while
+//!   installed, every attempt on the installing thread — and on `Sim`
+//!   lanes / `par` workers it spawns — records into the scope instead of
+//!   the globals, so concurrent sweep cells measure independently. The
+//!   scope's totals flush into the globals when it drops, so whole-run
+//!   summaries still add up;
 //! * [`CauseCounters`] is an embeddable per-*variant* cause block — each
 //!   PTO'd structure (and the TLE baseline) owns one, so several variants
 //!   running in one process report independent abort-cause mixes. This is
@@ -25,8 +26,10 @@
 
 use crate::txn::AbortCause;
 use pto_sim::ctx;
+use pto_sim::metrics::{self, Series};
+use pto_sim::probe::{self, Block};
 use pto_sim::stats::Counter;
-use std::sync::Arc;
+use pto_sim::trace::{self, EventKind};
 
 /// Per-cause abort counters, embeddable in any per-variant stats block
 /// (`PtoStats`). All increments are relaxed; read with `get()`.
@@ -76,19 +79,6 @@ impl CauseCounters {
             + self.spurious.get()
     }
 
-    /// One-line cause mix, e.g. `conflict 12 / capacity 0 / explicit 3 /
-    /// nested 0 / spurious 1`.
-    pub fn mix(&self) -> String {
-        format!(
-            "conflict {} / capacity {} / explicit {} / nested {} / spurious {}",
-            self.conflict.get(),
-            self.capacity.get(),
-            self.explicit.get(),
-            self.nested.get(),
-            self.spurious.get()
-        )
-    }
-
     pub fn reset(&self) {
         self.conflict.reset();
         self.capacity.reset();
@@ -98,190 +88,88 @@ impl CauseCounters {
     }
 }
 
-/// One full counter block; the process globals and every [`HtmScope`]
-/// each own one.
-#[derive(Default)]
-struct Block {
-    begins: Counter,
-    commits: Counter,
-    conflict: Counter,
-    capacity: Counter,
-    explicit: Counter,
-    nested: Counter,
-    spurious: Counter,
-    remote_commits: Counter,
-    remote_aborts: Counter,
-}
-
-impl Block {
-    const fn new() -> Self {
-        Block {
-            begins: Counter::new(),
-            commits: Counter::new(),
-            conflict: Counter::new(),
-            capacity: Counter::new(),
-            explicit: Counter::new(),
-            nested: Counter::new(),
-            spurious: Counter::new(),
-            remote_commits: Counter::new(),
-            remote_aborts: Counter::new(),
-        }
-    }
-
-    fn read(&self) -> HtmSnapshot {
-        HtmSnapshot {
-            begins: self.begins.get(),
-            commits: self.commits.get(),
-            aborts_conflict: self.conflict.get(),
-            aborts_capacity: self.capacity.get(),
-            aborts_explicit: self.explicit.get(),
-            aborts_nested: self.nested.get(),
-            aborts_spurious: self.spurious.get(),
-            remote_commits: self.remote_commits.get(),
-            remote_aborts: self.remote_aborts.get(),
-        }
-    }
-
-    fn add(&self, s: &HtmSnapshot) {
-        self.begins.add(s.begins);
-        self.commits.add(s.commits);
-        self.conflict.add(s.aborts_conflict);
-        self.capacity.add(s.aborts_capacity);
-        self.explicit.add(s.aborts_explicit);
-        self.nested.add(s.aborts_nested);
-        self.spurious.add(s.aborts_spurious);
-        self.remote_commits.add(s.remote_commits);
-        self.remote_aborts.add(s.remote_aborts);
-    }
-
-    fn zero(&self) {
-        self.begins.reset();
-        self.commits.reset();
-        self.conflict.reset();
-        self.capacity.reset();
-        self.explicit.reset();
-        self.nested.reset();
-        self.spurious.reset();
-        self.remote_commits.reset();
-        self.remote_aborts.reset();
+pto_sim::counters! {
+    /// A point-in-time copy of the HTM counters.
+    pub struct HtmSnapshot, block HtmBlock, slot ctx::SLOT_HTM_STATS, global GLOBAL {
+        begins,
+        commits,
+        aborts_conflict,
+        aborts_capacity,
+        aborts_explicit,
+        aborts_nested,
+        aborts_spurious,
+        /// Commits on lanes modeling a remote (non-socket-0) NUMA socket.
+        remote_commits,
+        /// Aborts (any cause) on remote-socket lanes.
+        remote_aborts,
     }
 }
 
-static GLOBAL: Block = Block::new();
-
-/// Run `f` against the scoped block if one is installed on this thread
-/// (directly or inherited from a spawning cell); `false` means "record
-/// globally".
+/// A transaction began at read version `rv`.
 #[inline]
-fn scoped(f: impl FnOnce(&Block)) -> bool {
-    if !ctx::is_set(ctx::SLOT_HTM_STATS) {
-        return false;
-    }
-    ctx::with::<Block, _>(ctx::SLOT_HTM_STATS, |b| match b {
-        Some(b) => {
-            f(b);
-            true
-        }
-        None => false,
-    })
+pub(crate) fn on_begin(rv: u64) {
+    probe::count::<HtmBlock>(|b| b.begins.inc());
+    trace::emit(EventKind::TxBegin { rv });
 }
 
+/// A transaction committed at write version `wv`.
 #[inline]
-pub(crate) fn record_begin() {
-    if !scoped(|b| b.begins.inc()) {
-        GLOBAL.begins.inc();
-    }
-}
-
-#[inline]
-pub(crate) fn record_commit() {
+pub(crate) fn on_commit(wv: u64) {
     let remote = pto_sim::clock::on_remote_socket();
-    let bump = |b: &Block| {
+    probe::count::<HtmBlock>(|b| {
         b.commits.inc();
         if remote {
             b.remote_commits.inc();
         }
-    };
-    if !scoped(bump) {
-        bump(&GLOBAL);
-    }
+    });
+    trace::emit(EventKind::TxCommit { wv });
+    metrics::emit(Series::Commits, 1);
 }
 
+/// A begun transaction aborted with `cause`.
 #[inline]
-pub(crate) fn record_abort(cause: AbortCause) {
+pub(crate) fn on_abort(cause: AbortCause) {
+    let series = count_abort(cause);
+    trace::emit(EventKind::TxAbort {
+        cause: cause.trace_code(),
+    });
+    metrics::emit(series, 1);
+}
+
+/// A `TxBegin` inside a running transaction aborted. It never began, so
+/// it emits no trace event.
+#[inline]
+pub(crate) fn on_nested() {
+    metrics::emit(count_abort(AbortCause::Nested), 1);
+}
+
+/// Count one abort under its cause, and return the cause's metrics series.
+#[inline]
+fn count_abort(cause: AbortCause) -> Series {
     let remote = pto_sim::clock::on_remote_socket();
-    let bump = |b: &Block| {
-        match cause {
-            AbortCause::Conflict => b.conflict.inc(),
-            AbortCause::Capacity => b.capacity.inc(),
-            AbortCause::Explicit(_) => b.explicit.inc(),
-            AbortCause::Nested => b.nested.inc(),
-            AbortCause::Spurious => b.spurious.inc(),
-        }
+    let (series, counter): (Series, fn(&HtmBlock) -> &Counter) = match cause {
+        AbortCause::Conflict => (Series::AbortConflict, |b| &b.aborts_conflict),
+        AbortCause::Capacity => (Series::AbortCapacity, |b| &b.aborts_capacity),
+        AbortCause::Explicit(_) => (Series::AbortExplicit, |b| &b.aborts_explicit),
+        AbortCause::Nested => (Series::AbortNested, |b| &b.aborts_nested),
+        AbortCause::Spurious => (Series::AbortSpurious, |b| &b.aborts_spurious),
+    };
+    probe::count::<HtmBlock>(|b| {
+        counter(b).inc();
         if remote {
             b.remote_aborts.inc();
         }
-    };
-    if !scoped(bump) {
-        bump(&GLOBAL);
-    }
+    });
+    series
 }
 
-/// RAII scope isolating HTM statistics for one sweep cell.
-///
-/// While alive (on the installing thread and every `Sim` lane or
-/// [`pto_sim::par`] job that inherits its context), transaction events
-/// record into this scope instead of the process globals. Read the cell's
-/// own totals with [`HtmScope::snapshot`]; on drop the totals are flushed
-/// into the globals, so `snapshot()`-based whole-run summaries (e.g. the
-/// retry sweep's) still see every event exactly once.
-pub struct HtmScope {
-    block: Arc<Block>,
-    _guard: ctx::ScopeGuard,
-}
-
-impl HtmScope {
-    /// Install a fresh scope on the current thread.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        let block: Arc<Block> = Arc::new(Block::default());
-        let guard = ctx::ScopeGuard::install(
-            ctx::SLOT_HTM_STATS,
-            Arc::clone(&block) as Arc<dyn std::any::Any + Send + Sync>,
-        );
-        HtmScope {
-            block,
-            _guard: guard,
-        }
-    }
-
-    /// This scope's totals so far.
-    pub fn snapshot(&self) -> HtmSnapshot {
-        self.block.read()
-    }
-}
-
-impl Drop for HtmScope {
-    fn drop(&mut self) {
-        GLOBAL.add(&self.block.read());
-    }
-}
-
-/// A point-in-time copy of the HTM counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HtmSnapshot {
-    pub begins: u64,
-    pub commits: u64,
-    pub aborts_conflict: u64,
-    pub aborts_capacity: u64,
-    pub aborts_explicit: u64,
-    pub aborts_nested: u64,
-    pub aborts_spurious: u64,
-    /// Commits on lanes modeling a remote (non-socket-0) NUMA socket.
-    pub remote_commits: u64,
-    /// Aborts (any cause) on remote-socket lanes.
-    pub remote_aborts: u64,
-}
+/// RAII scope isolating HTM statistics for one sweep cell: while alive,
+/// transaction events on the installing thread (and the `Sim` lanes and
+/// [`pto_sim::par`] jobs that inherit its context) record into the scope
+/// instead of the process globals. Read the cell's own totals with
+/// `snapshot()`; on drop the totals flush into the globals, so
+/// [`snapshot`]-based whole-run summaries see every event exactly once.
+pub type HtmScope = probe::Scope<HtmBlock>;
 
 impl HtmSnapshot {
     pub fn total_aborts(&self) -> u64 {
@@ -300,53 +188,13 @@ impl HtmSnapshot {
             self.commits as f64 / self.begins as f64
         }
     }
-
-    /// The events recorded since `before` was taken: field-wise saturating
-    /// subtraction, so a scoped measurement (`let b = snapshot(); ...;
-    /// snapshot().delta(&b)`) attributes the global counters to that region
-    /// even if some other code called [`reset`] in between.
-    pub fn delta(&self, before: &HtmSnapshot) -> HtmSnapshot {
-        HtmSnapshot {
-            begins: self.begins.saturating_sub(before.begins),
-            commits: self.commits.saturating_sub(before.commits),
-            aborts_conflict: self.aborts_conflict.saturating_sub(before.aborts_conflict),
-            aborts_capacity: self.aborts_capacity.saturating_sub(before.aborts_capacity),
-            aborts_explicit: self.aborts_explicit.saturating_sub(before.aborts_explicit),
-            aborts_nested: self.aborts_nested.saturating_sub(before.aborts_nested),
-            aborts_spurious: self.aborts_spurious.saturating_sub(before.aborts_spurious),
-            remote_commits: self.remote_commits.saturating_sub(before.remote_commits),
-            remote_aborts: self.remote_aborts.saturating_sub(before.remote_aborts),
-        }
-    }
-
-    /// Field-wise sum (for aggregating several scoped deltas).
-    pub fn merge(&self, other: &HtmSnapshot) -> HtmSnapshot {
-        HtmSnapshot {
-            begins: self.begins + other.begins,
-            commits: self.commits + other.commits,
-            aborts_conflict: self.aborts_conflict + other.aborts_conflict,
-            aborts_capacity: self.aborts_capacity + other.aborts_capacity,
-            aborts_explicit: self.aborts_explicit + other.aborts_explicit,
-            aborts_nested: self.aborts_nested + other.aborts_nested,
-            aborts_spurious: self.aborts_spurious + other.aborts_spurious,
-            remote_commits: self.remote_commits + other.remote_commits,
-            remote_aborts: self.remote_aborts + other.remote_aborts,
-        }
-    }
 }
 
 /// Read the current **process-global** counters. Events recorded inside a
 /// live [`HtmScope`] are not visible here until that scope drops (and
 /// flushes).
 pub fn snapshot() -> HtmSnapshot {
-    GLOBAL.read()
-}
-
-/// Zero the global counters (benchmark harness use; racy with concurrent
-/// transactions by design — call between runs). Live scopes are
-/// unaffected.
-pub fn reset() {
-    GLOBAL.zero();
+    GLOBAL.snapshot()
 }
 
 #[cfg(test)]
@@ -374,103 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn delta_subtracts_and_saturates() {
-        let before = HtmSnapshot {
-            begins: 10,
-            commits: 8,
-            aborts_conflict: 2,
-            ..Default::default()
-        };
-        let after = HtmSnapshot {
-            begins: 15,
-            commits: 11,
-            aborts_conflict: 4,
-            ..Default::default()
-        };
-        let d = after.delta(&before);
-        assert_eq!(d.begins, 5);
-        assert_eq!(d.commits, 3);
-        assert_eq!(d.aborts_conflict, 2);
-        // A reset between snapshots must not underflow.
-        let z = HtmSnapshot::default().delta(&before);
-        assert_eq!(z.begins, 0);
-        assert_eq!(z.total_aborts(), 0);
-    }
-
-    #[test]
-    fn merge_sums_fields() {
-        let a = HtmSnapshot {
-            begins: 3,
-            aborts_capacity: 1,
-            ..Default::default()
-        };
-        let b = HtmSnapshot {
-            begins: 4,
-            aborts_capacity: 2,
-            ..Default::default()
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.begins, 7);
-        assert_eq!(m.aborts_capacity, 3);
-    }
-
-    #[test]
-    fn scope_isolates_and_flushes_on_drop() {
-        let outside_before = snapshot();
-        let scoped_total;
-        {
-            let scope = HtmScope::new();
-            let w = crate::TxWord::new(0);
-            let _ = crate::transaction(|tx| tx.read(&w));
-            let _: Result<(), _> = crate::transaction(|tx| Err(tx.abort(1)));
-            let s = scope.snapshot();
-            assert_eq!(s.commits, 1);
-            assert_eq!(s.aborts_explicit, 1);
-            assert!(s.begins >= 2);
-            scoped_total = s;
-            // Isolation from the globals while the scope lives is asserted
-            // by `concurrent_scopes_do_not_bleed` (other tests in this
-            // binary mutate the globals concurrently, so a global delta
-            // here would be flaky in either direction).
-        }
-        // After the drop the scope's totals are in the globals.
-        let after = snapshot().delta(&outside_before);
-        assert!(after.commits >= scoped_total.commits);
-        assert!(after.aborts_explicit >= scoped_total.aborts_explicit);
-    }
-
-    #[test]
-    fn concurrent_scopes_do_not_bleed() {
-        // Two threads, each with its own scope and its own abort mix,
-        // must observe exactly their own counts.
-        std::thread::scope(|s| {
-            for code in 1..=4u64 {
-                s.spawn(move || {
-                    let scope = HtmScope::new();
-                    let w = crate::TxWord::new(0);
-                    for _ in 0..code {
-                        let _: Result<(), _> =
-                            crate::transaction(|tx| Err(tx.abort(code as u8)));
-                    }
-                    let _ = crate::transaction(|tx| tx.read(&w));
-                    let snap = scope.snapshot();
-                    assert_eq!(snap.aborts_explicit, code, "foreign aborts leaked in");
-                    assert_eq!(snap.commits, 1);
-                });
-            }
-        });
-    }
-
-    #[test]
     fn sim_lanes_record_into_the_spawners_scope() {
         let scope = HtmScope::new();
         let w = crate::TxWord::new(0);
         pto_sim::Sim::new(4).run(|_| {
             let _ = crate::transaction(|tx| tx.read(&w));
+            let _: Result<(), _> = crate::transaction(|tx| Err(tx.abort(1)));
         });
         let s = scope.snapshot();
+        assert_eq!(s.aborts_explicit, 4);
         assert_eq!(s.begins, s.commits + s.total_aborts());
-        assert_eq!(s.commits + s.total_aborts(), 4);
+        assert_eq!(s.begins, 8);
     }
 
     #[test]
@@ -508,7 +270,6 @@ mod tests {
         assert_eq!(c.nested.get(), 1);
         assert_eq!(c.spurious.get(), 1);
         assert_eq!(c.total(), 6);
-        assert!(c.mix().contains("conflict 2"));
         c.reset();
         assert_eq!(c.total(), 0);
     }

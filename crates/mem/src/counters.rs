@@ -1,317 +1,98 @@
-//! Process-global reclamation counters: epoch advances, hazard scans,
-//! slots reclaimed, orphans parked/drained.
+//! Reclamation counters: epoch advances, hazard scans, slots reclaimed,
+//! orphans parked/drained.
 //!
 //! The PTO benches attribute these to a variant the same way they attribute
-//! HTM events: take a [`snapshot`] before a scoped region, another after,
-//! and diff them with [`MemSnapshot::delta`] — or, when sweep cells run
-//! concurrently on a worker pool, install a [`MemScope`] per cell (context
-//! slot [`ctx::SLOT_MEM`]) so each cell's events record into its own block
-//! and flush into the globals on drop. The counters are deliberately
-//! cheap (relaxed, cache-padded) and are *not* part of the cost model —
-//! they observe the reclamation machinery, they do not charge for it.
+//! HTM events: install a [`MemScope`] per sweep cell (a
+//! [`probe::Scope`] in context slot [`ctx::SLOT_MEM`]) so each cell's
+//! events record into its own block, even when cells run concurrently on a
+//! worker pool. There is no process-global block: events outside any scope
+//! are not counted. The counters are deliberately cheap (relaxed,
+//! cache-padded) and are *not* part of the cost model — they observe the
+//! reclamation machinery, they do not charge for it.
 
 use pto_sim::ctx;
-use pto_sim::stats::Counter;
-use std::sync::Arc;
+use pto_sim::probe;
 
-/// One full counter block; the process globals and every [`MemScope`]
-/// each own one.
-#[derive(Default)]
-struct Block {
-    epoch_advances: Counter,
-    hazard_scans: Counter,
-    hazard_reclaimed: Counter,
-    orphans_parked: Counter,
-    orphans_drained: Counter,
-    lanes_released: Counter,
-    limbo_reclaimed: Counter,
-}
-
-impl Block {
-    const fn new() -> Self {
-        Block {
-            epoch_advances: Counter::new(),
-            hazard_scans: Counter::new(),
-            hazard_reclaimed: Counter::new(),
-            orphans_parked: Counter::new(),
-            orphans_drained: Counter::new(),
-            lanes_released: Counter::new(),
-            limbo_reclaimed: Counter::new(),
-        }
-    }
-
-    fn read(&self) -> MemSnapshot {
-        MemSnapshot {
-            epoch_advances: self.epoch_advances.get(),
-            hazard_scans: self.hazard_scans.get(),
-            hazard_reclaimed: self.hazard_reclaimed.get(),
-            orphans_parked: self.orphans_parked.get(),
-            orphans_drained: self.orphans_drained.get(),
-            lanes_released: self.lanes_released.get(),
-            limbo_reclaimed: self.limbo_reclaimed.get(),
-        }
-    }
-
-    fn add(&self, s: &MemSnapshot) {
-        self.epoch_advances.add(s.epoch_advances);
-        self.hazard_scans.add(s.hazard_scans);
-        self.hazard_reclaimed.add(s.hazard_reclaimed);
-        self.orphans_parked.add(s.orphans_parked);
-        self.orphans_drained.add(s.orphans_drained);
-        self.lanes_released.add(s.lanes_released);
-        self.limbo_reclaimed.add(s.limbo_reclaimed);
-    }
-
-    fn zero(&self) {
-        self.epoch_advances.reset();
-        self.hazard_scans.reset();
-        self.hazard_reclaimed.reset();
-        self.orphans_parked.reset();
-        self.orphans_drained.reset();
-        self.lanes_released.reset();
-        self.limbo_reclaimed.reset();
-    }
-}
-
-static GLOBAL: Block = Block::new();
-
-/// Run `f` against the scoped block if one is installed on this thread
-/// (directly or inherited from a spawning cell); `false` means "record
-/// globally".
-#[inline]
-fn scoped(f: impl FnOnce(&Block)) -> bool {
-    if !ctx::is_set(ctx::SLOT_MEM) {
-        return false;
-    }
-    ctx::with::<Block, _>(ctx::SLOT_MEM, |b| match b {
-        Some(b) => {
-            f(b);
-            true
-        }
-        None => false,
-    })
-}
-
-#[inline]
-fn record(f: impl Fn(&Block)) {
-    if !scoped(&f) {
-        f(&GLOBAL);
+pto_sim::counters! {
+    /// A point-in-time copy of the reclamation counters.
+    pub struct MemSnapshot, block MemBlock, slot ctx::SLOT_MEM {
+        /// Successful global-epoch advances.
+        epoch_advances,
+        /// Hazard-pointer reclamation scans run.
+        hazard_scans,
+        /// Retired slots returned to their pool by a hazard scan.
+        hazard_reclaimed,
+        /// Retired slots handed to a domain's orphan list by exiting threads.
+        orphans_parked,
+        /// Orphaned slots returned to their pool by a later scan.
+        orphans_drained,
+        /// Hazard lanes released by exiting threads.
+        lanes_released,
+        /// Epoch-limbo slots whose grace period expired and were recycled.
+        limbo_reclaimed,
     }
 }
 
 #[inline]
 pub(crate) fn record_epoch_advance() {
-    record(|b| b.epoch_advances.inc());
+    probe::count::<MemBlock>(|b| b.epoch_advances.inc());
 }
 
 #[inline]
 pub(crate) fn record_hazard_scan() {
-    record(|b| b.hazard_scans.inc());
+    probe::count::<MemBlock>(|b| b.hazard_scans.inc());
 }
 
 #[inline]
 pub(crate) fn record_hazard_reclaimed(n: u64) {
-    record(|b| b.hazard_reclaimed.add(n));
+    probe::count::<MemBlock>(|b| b.hazard_reclaimed.add(n));
 }
 
 #[inline]
 pub(crate) fn record_orphans_parked(n: u64) {
-    record(|b| b.orphans_parked.add(n));
+    probe::count::<MemBlock>(|b| b.orphans_parked.add(n));
 }
 
 #[inline]
 pub(crate) fn record_orphans_drained(n: u64) {
-    record(|b| b.orphans_drained.add(n));
+    probe::count::<MemBlock>(|b| b.orphans_drained.add(n));
 }
 
 #[inline]
 pub(crate) fn record_lane_released() {
-    record(|b| b.lanes_released.inc());
+    probe::count::<MemBlock>(|b| b.lanes_released.inc());
 }
 
 #[inline]
 pub(crate) fn record_limbo_reclaimed(n: u64) {
-    record(|b| b.limbo_reclaimed.add(n));
+    probe::count::<MemBlock>(|b| b.limbo_reclaimed.add(n));
 }
 
-/// RAII scope isolating reclamation statistics for one sweep cell.
-///
-/// While alive (on the installing thread and every `Sim` lane or
-/// [`pto_sim::par`] job that inherits its context), reclamation events
-/// record into this scope instead of the process globals. Read the cell's
-/// own totals with [`MemScope::snapshot`]; on drop the totals flush into
-/// the globals, so whole-run summaries still see every event exactly once.
-pub struct MemScope {
-    block: Arc<Block>,
-    _guard: ctx::ScopeGuard,
-}
-
-impl MemScope {
-    /// Install a fresh scope on the current thread.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        let block: Arc<Block> = Arc::new(Block::default());
-        let guard = ctx::ScopeGuard::install(
-            ctx::SLOT_MEM,
-            Arc::clone(&block) as Arc<dyn std::any::Any + Send + Sync>,
-        );
-        MemScope {
-            block,
-            _guard: guard,
-        }
-    }
-
-    /// This scope's totals so far.
-    pub fn snapshot(&self) -> MemSnapshot {
-        self.block.read()
-    }
-}
-
-impl Drop for MemScope {
-    fn drop(&mut self) {
-        GLOBAL.add(&self.block.read());
-    }
-}
-
-/// A point-in-time copy of the reclamation counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemSnapshot {
-    /// Successful global-epoch advances.
-    pub epoch_advances: u64,
-    /// Hazard-pointer reclamation scans run.
-    pub hazard_scans: u64,
-    /// Retired slots returned to their pool by a hazard scan.
-    pub hazard_reclaimed: u64,
-    /// Retired slots handed to a domain's orphan list by exiting threads.
-    pub orphans_parked: u64,
-    /// Orphaned slots returned to their pool by a later scan.
-    pub orphans_drained: u64,
-    /// Hazard lanes released by exiting threads.
-    pub lanes_released: u64,
-    /// Epoch-limbo slots whose grace period expired and were recycled.
-    pub limbo_reclaimed: u64,
-}
-
-impl MemSnapshot {
-    /// Events recorded since `before` (field-wise saturating subtraction).
-    pub fn delta(&self, before: &MemSnapshot) -> MemSnapshot {
-        MemSnapshot {
-            epoch_advances: self.epoch_advances.saturating_sub(before.epoch_advances),
-            hazard_scans: self.hazard_scans.saturating_sub(before.hazard_scans),
-            hazard_reclaimed: self.hazard_reclaimed.saturating_sub(before.hazard_reclaimed),
-            orphans_parked: self.orphans_parked.saturating_sub(before.orphans_parked),
-            orphans_drained: self.orphans_drained.saturating_sub(before.orphans_drained),
-            lanes_released: self.lanes_released.saturating_sub(before.lanes_released),
-            limbo_reclaimed: self.limbo_reclaimed.saturating_sub(before.limbo_reclaimed),
-        }
-    }
-
-    /// Field-wise sum (for aggregating scoped deltas).
-    pub fn merge(&self, other: &MemSnapshot) -> MemSnapshot {
-        MemSnapshot {
-            epoch_advances: self.epoch_advances + other.epoch_advances,
-            hazard_scans: self.hazard_scans + other.hazard_scans,
-            hazard_reclaimed: self.hazard_reclaimed + other.hazard_reclaimed,
-            orphans_parked: self.orphans_parked + other.orphans_parked,
-            orphans_drained: self.orphans_drained + other.orphans_drained,
-            lanes_released: self.lanes_released + other.lanes_released,
-            limbo_reclaimed: self.limbo_reclaimed + other.limbo_reclaimed,
-        }
-    }
-}
-
-/// Read the current **process-global** counters. Events recorded inside a
-/// live [`MemScope`] are not visible here until that scope drops (and
-/// flushes).
-pub fn snapshot() -> MemSnapshot {
-    GLOBAL.read()
-}
-
-/// Zero the global counters (benchmark harness use; racy with concurrent
-/// reclamation by design — call between runs). Live scopes are unaffected.
-pub fn reset() {
-    GLOBAL.zero();
-}
+/// RAII scope counting reclamation events for one sweep cell: while
+/// alive, events on the installing thread (and the `Sim` lanes and
+/// [`pto_sim::par`] jobs that inherit its context) record into this
+/// scope. Read the cell's totals with `snapshot()`.
+pub type MemScope = probe::Scope<MemBlock>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn delta_and_merge_are_fieldwise() {
-        let a = MemSnapshot {
-            epoch_advances: 5,
-            hazard_scans: 2,
-            ..Default::default()
-        };
-        let b = MemSnapshot {
-            epoch_advances: 9,
-            hazard_scans: 2,
-            hazard_reclaimed: 7,
-            ..Default::default()
-        };
-        let d = b.delta(&a);
-        assert_eq!(d.epoch_advances, 4);
-        assert_eq!(d.hazard_scans, 0);
-        assert_eq!(d.hazard_reclaimed, 7);
-        // Saturating: a reset between snapshots never underflows.
-        assert_eq!(a.delta(&b).epoch_advances, 0);
-        let m = a.merge(&b);
-        assert_eq!(m.epoch_advances, 14);
-        assert_eq!(m.hazard_reclaimed, 7);
-    }
-
-    #[test]
-    fn scope_isolates_and_flushes_on_drop() {
-        let before = snapshot();
-        let scoped_total;
-        {
-            let scope = MemScope::new();
-            record_hazard_scan();
-            record_hazard_reclaimed(5);
-            let s = scope.snapshot();
-            assert_eq!(s.hazard_scans, 1);
-            assert_eq!(s.hazard_reclaimed, 5);
-            scoped_total = s;
-        }
-        // After the drop the scope's totals are in the globals (other
-        // tests may add more concurrently, hence >=).
-        let after = snapshot().delta(&before);
-        assert!(after.hazard_scans >= scoped_total.hazard_scans);
-        assert!(after.hazard_reclaimed >= scoped_total.hazard_reclaimed);
-    }
-
-    #[test]
-    fn concurrent_scopes_do_not_bleed() {
-        std::thread::scope(|s| {
-            for n in 1..=4u64 {
-                s.spawn(move || {
-                    let scope = MemScope::new();
-                    record_orphans_parked(n);
-                    record_epoch_advance();
-                    let snap = scope.snapshot();
-                    assert_eq!(snap.orphans_parked, n, "foreign events leaked in");
-                    assert_eq!(snap.epoch_advances, 1);
-                });
-            }
-        });
-    }
-
-    #[test]
     fn epoch_advances_are_counted() {
-        let before = snapshot().epoch_advances;
         // Drive the epoch forward a few steps (tolerating other tests'
-        // pins — advances by anyone are still counted globally).
+        // pins and advances: the scope sees exactly this thread's).
+        let scope = MemScope::new();
         let start = crate::epoch::current();
-        let mut tries = 0u64;
-        while crate::epoch::current() < start + 4 {
-            crate::epoch::try_advance();
+        let (mut tries, mut won) = (0u64, 0u64);
+        while crate::epoch::current() < start + 4 || won == 0 {
+            won += crate::epoch::try_advance() as u64;
             tries += 1;
             if tries.is_multiple_of(1024) {
                 std::thread::yield_now();
             }
             assert!(tries < 100_000_000, "epoch stalled");
         }
-        assert!(snapshot().epoch_advances > before);
+        assert_eq!(scope.snapshot().epoch_advances, won);
     }
 }

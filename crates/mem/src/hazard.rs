@@ -453,19 +453,25 @@ mod tests {
 
     #[test]
     fn lane_reuse_is_observed_by_counters() {
-        let d = HazardDomain::new();
-        let before = crate::counters::snapshot();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let d = &d;
-                s.spawn(move || {
+        let d = Arc::new(HazardDomain::new());
+        let scope = crate::MemScope::new();
+        let inherited = pto_sim::ctx::capture();
+        // Leases are released by a TLS destructor; unlike a scoped join,
+        // `join` waits for those to run.
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let (d, inherited) = (Arc::clone(&d), inherited.clone());
+                std::thread::spawn(move || {
+                    pto_sim::ctx::adopt(&inherited);
                     d.protect(0, 9);
                     d.clear(0);
-                });
-            }
-        });
-        let delta = crate::counters::snapshot().delta(&before);
-        assert!(delta.lanes_released >= 4, "lease drops not counted");
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(scope.snapshot().lanes_released, 4, "lease drops not counted");
     }
 
     #[test]

@@ -1,22 +1,19 @@
 //! Scoped per-thread context: the plumbing that lets independent
 //! simulation cells run concurrently on real OS threads.
 //!
-//! Historically every observability channel in the workspace (HTM stats,
-//! reclamation counters, latency histograms, linearizability histories,
-//! abort-injection schedules) was a process-global: harmless while the
-//! harness ran one cell at a time, fatal once `run_all`/`lincheck` shard
-//! cells across cores — concurrent cells would bleed counts into each
-//! other's deltas.
-//!
-//! This module gives each OS thread a tiny array of **context slots**,
-//! each holding an `Arc<dyn Any>` installed by a scope guard. A cell
-//! runner sets its slots, and [`Sim::run`](crate::sched::Sim::run)
-//! propagates them to every lane thread it spawns ([`capture`]/[`adopt`]).
+//! Concurrent cells (`run_all`/`lincheck` shard them across cores) must
+//! not bleed counts or events into each other, so every observability
+//! channel is scoped per cell. This module gives each OS thread a tiny
+//! array of **context slots**, each holding an `Arc<dyn Any>` installed by
+//! a scope guard. A cell runner sets its slots, and
+//! [`Sim::run`](crate::sched::Sim::run) and [`par`](crate::par) propagate
+//! them to every thread they run the cell on ([`capture`]/[`adopt`]).
 //! The recorders (trace, metrics rings, histories and the call-site
 //! profiler) record only where their session's slot is set. The counter
-//! scopes (`pto-htm` stats, `pto-mem` counters, latency histograms) check
-//! their slot first and fall back to their process-global when it is
-//! empty, so single-cell runs and existing tests behave exactly as before.
+//! scopes ([`probe::Scope`](crate::probe::Scope): `pto-htm` stats,
+//! `pto-mem` counters, latency histograms, metrics aggregates) record into
+//! their slot's block; only `pto-htm` keeps a process-global block, which
+//! takes the records made outside any scope. The others drop those.
 //!
 //! The slot array is deliberately flat and fixed-size: a lookup is one
 //! thread-local borrow and an index — cheap enough for abort-injection's

@@ -40,8 +40,10 @@
 //!   virtual timestamps) consumed by the `pto-check` linearizability
 //!   checker.
 //! * [`probe`] — the per-thread recorder behind trace, metrics and
-//!   history: one buffer per kind per thread, one sink per session bound
-//!   to the arming thread's [`ctx`] slot, one drain.
+//!   history (one buffer per kind per thread, one sink per session bound
+//!   to the arming thread's [`ctx`] slot, one drain), and the generic
+//!   counter `Scope` behind the HTM, reclamation, latency and metrics
+//!   per-cell counter blocks.
 //! * [`json`] — a minimal JSON reader backing the trace validator.
 //! * [`ctx`] — scoped per-thread context slots (stats scopes, injection
 //!   schedules, RNG stream keys) inherited by [`Sim`] lane threads, the

@@ -38,7 +38,6 @@ use crate::{ctx, probe};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Default per-thread sample capacity of a session.
 pub const DEFAULT_CAPACITY: usize = 1 << 14;
@@ -164,19 +163,6 @@ impl Series {
                 | Series::PolicyComposeFallbacks
         )
     }
-
-    /// The abort series for an `AbortCause` trace code (see
-    /// [`CAUSE_NAMES`](crate::trace::CAUSE_NAMES)); out-of-range codes
-    /// bucket as spurious, matching the trace exporter's "unknown".
-    pub fn abort_for_code(code: u8) -> Series {
-        match code {
-            0 => Series::AbortConflict,
-            1 => Series::AbortCapacity,
-            2 => Series::AbortExplicit,
-            3 => Series::AbortNested,
-            _ => Series::AbortSpurious,
-        }
-    }
 }
 
 /// One timestamped sample: `ts` is the emitting thread's virtual clock,
@@ -247,11 +233,7 @@ pub fn emit_with(series: Series, value: impl FnOnce() -> u64) {
 fn emit_slow(series: Series, value: u64) {
     // Per-cell aggregation first: scopes see every emission on threads
     // that inherited their context slot, session or no session.
-    ctx::with::<ScopeBlock, _>(ctx::SLOT_METRICS, |b| {
-        if let Some(b) = b {
-            b.record(series, value);
-        }
-    });
+    probe::count::<MetricsBlock>(|b| b.record(series, value));
     probe::record(|ts, totals: &mut [u64; N_SERIES]| {
         let value = if series.is_cumulative() {
             let t = &mut totals[series as usize];
@@ -451,26 +433,35 @@ struct SeriesAgg {
     max: AtomicU64,
 }
 
-/// One scope's aggregate block, installed in [`ctx::SLOT_METRICS`].
+/// One [`MetricsScope`]'s aggregate block, installed in
+/// [`ctx::SLOT_METRICS`].
 #[derive(Default)]
-pub struct ScopeBlock {
+pub struct MetricsBlock {
     cells: [SeriesAgg; N_SERIES],
 }
 
-impl ScopeBlock {
+impl MetricsBlock {
     fn record(&self, series: Series, value: u64) {
         let c = &self.cells[series as usize];
         c.count.fetch_add(1, Ordering::Relaxed);
         c.sum.fetch_add(value, Ordering::Relaxed);
         c.max.fetch_max(value, Ordering::Relaxed);
     }
+}
 
-    fn read(&self) -> MetricsSnapshot {
+impl probe::Block for MetricsBlock {
+    type Snapshot = MetricsSnapshot;
+    const SLOT: usize = ctx::SLOT_METRICS;
+    fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counts: std::array::from_fn(|i| self.cells[i].count.load(Ordering::Relaxed)),
             sums: std::array::from_fn(|i| self.cells[i].sum.load(Ordering::Relaxed)),
             maxes: std::array::from_fn(|i| self.cells[i].max.load(Ordering::Relaxed)),
         }
+    }
+    /// A live scope arms [`emit`], like a session.
+    fn live() -> Option<&'static AtomicUsize> {
+        Some(&LIVE)
     }
 }
 
@@ -478,41 +469,10 @@ impl ScopeBlock {
 ///
 /// While alive (on the installing thread and every `Sim` lane or
 /// [`par`](crate::par) job inheriting its context), every [`emit`] on
-/// those threads also records into this scope's block. Unlike the other
-/// counter scopes there is no process-global to flush into on drop — the
-/// snapshot is the product.
-pub struct MetricsScope {
-    block: Arc<ScopeBlock>,
-    _guard: ctx::ScopeGuard,
-}
-
-impl MetricsScope {
-    /// Install a fresh scope on the current thread.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        let block: Arc<ScopeBlock> = Arc::new(ScopeBlock::default());
-        let guard = ctx::ScopeGuard::install(
-            ctx::SLOT_METRICS,
-            Arc::clone(&block) as Arc<dyn std::any::Any + Send + Sync>,
-        );
-        LIVE.fetch_add(1, Ordering::SeqCst);
-        MetricsScope {
-            block,
-            _guard: guard,
-        }
-    }
-
-    /// This scope's aggregates so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.block.read()
-    }
-}
-
-impl Drop for MetricsScope {
-    fn drop(&mut self) {
-        LIVE.fetch_sub(1, Ordering::SeqCst);
-    }
-}
+/// those threads also records into this scope's block. There is no
+/// process-global block to flush into on drop — the snapshot is the
+/// product.
+pub type MetricsScope = probe::Scope<MetricsBlock>;
 
 /// A point-in-time copy of a scope's per-series aggregates, indexed by
 /// `Series as usize`.
@@ -760,29 +720,6 @@ mod tests {
         assert!(!ctx::is_set(ctx::SLOT_METRICS));
         // With the scope gone, emits are no-ops again.
         emit(Series::Commits, 1);
-    }
-
-    #[test]
-    fn concurrent_scopes_do_not_bleed() {
-        std::thread::scope(|s| {
-            for n in 1..=4u64 {
-                s.spawn(move || {
-                    let scope = MetricsScope::new();
-                    emit(Series::Commits, n);
-                    let snap = scope.snapshot();
-                    assert_eq!(snap.total(Series::Commits), n, "foreign emits leaked in");
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn sim_lanes_record_into_the_spawners_scope() {
-        let scope = MetricsScope::new();
-        crate::sched::Sim::new(4).run(|_| {
-            emit(Series::Commits, 1);
-        });
-        assert_eq!(scope.snapshot().total(Series::Commits), 4);
     }
 
     #[test]

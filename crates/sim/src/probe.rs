@@ -1,8 +1,19 @@
 //! The per-thread recorder behind [`trace`](crate::trace),
-//! [`metrics`](crate::metrics) and [`history`](crate::history).
+//! [`metrics`](crate::metrics) and [`history`](crate::history), and the
+//! counter scope behind every per-cell counter block.
 //!
-//! The three front ends record different items (span events, counter
-//! samples, completed operations) through one machine:
+//! **Counter scopes.** A [`Block`] is one kind's set of atomic counters
+//! (HTM events, reclamation events, latency histograms, metric
+//! aggregates). A [`Scope`] installs a fresh block in the kind's [`ctx`]
+//! slot; [`count`] records into the block in the thread's context, which
+//! `Sim` lanes and [`par`](crate::par) jobs inherit from their spawner, so
+//! concurrent sweep cells count independently. A kind may own a
+//! process-global block: records made outside any scope land there, and a
+//! scope adds its totals to it on drop. [`counters!`](crate::counters)
+//! declares a kind of plain `u64` counters once.
+//!
+//! The three recorder front ends record different items (span events,
+//! counter samples, completed operations) through one machine:
 //!
 //! * **A sink per armed session.** `TraceSession`, `MetricsSession` and
 //!   `HistorySession` each own a [`Sink`] and install it in their kind's
@@ -263,6 +274,276 @@ impl<T: Kind> Session<T> {
 impl<T: Kind> Drop for Session<T> {
     fn drop(&mut self) {
         T::live().fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One kind of counter block: what a [`Scope`] installs and [`count`]
+/// records into.
+pub trait Block: Default + Send + Sync + 'static {
+    /// A point-in-time copy of the block.
+    type Snapshot;
+    /// The context slot a scope of this kind occupies.
+    const SLOT: usize;
+    fn snapshot(&self) -> Self::Snapshot;
+    /// Add `totals` to this block. Only a kind's [`global`](Block::global)
+    /// is ever absorbed into, so a kind without one keeps this default.
+    fn absorb(&self, _totals: &Self::Snapshot) {}
+    /// The process-global block: [`count`] outside any scope records here
+    /// and a dropped scope flushes here. `None`: such records are dropped.
+    fn global() -> Option<&'static Self> {
+        None
+    }
+    /// A live count that every scope of this kind holds +1 on, for a kind
+    /// whose recorders skip work while nothing is live.
+    fn live() -> Option<&'static AtomicUsize> {
+        None
+    }
+}
+
+/// Record into the `B` block in the thread's context, else into `B`'s
+/// global, if it has one. One thread-local access.
+#[inline]
+pub fn count<B: Block>(f: impl FnOnce(&B)) {
+    ctx::with::<B, _>(B::SLOT, |b| {
+        if let Some(b) = b.or(B::global()) {
+            f(b);
+        }
+    });
+}
+
+/// RAII scope isolating one kind's counters for one sweep cell.
+///
+/// While alive, [`count`] on the installing thread and on every `Sim` lane
+/// or [`par`](crate::par) job that inherits its context records into this
+/// scope's block. A nested scope shadows this one until it drops. On drop
+/// the totals flush into the kind's global, if it has one, so whole-run
+/// summaries see every event exactly once.
+pub struct Scope<B: Block> {
+    block: Arc<B>,
+    _guard: ctx::ScopeGuard,
+}
+
+impl<B: Block> Scope<B> {
+    /// Install a fresh block on the current thread.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        let block = Arc::new(B::default());
+        let guard = ctx::ScopeGuard::install(B::SLOT, Arc::clone(&block) as _);
+        if let Some(live) = B::live() {
+            live.fetch_add(1, Ordering::SeqCst);
+        }
+        Scope {
+            block,
+            _guard: guard,
+        }
+    }
+
+    /// This scope's totals so far.
+    pub fn snapshot(&self) -> B::Snapshot {
+        self.block.snapshot()
+    }
+}
+
+impl<B: Block> Drop for Scope<B> {
+    fn drop(&mut self) {
+        if let Some(live) = B::live() {
+            live.fetch_sub(1, Ordering::SeqCst);
+        }
+        if let Some(global) = B::global() {
+            global.absorb(&self.block.snapshot());
+        }
+    }
+}
+
+/// Declare a [`Block`] kind of plain event counters, naming each field
+/// once:
+///
+/// ```ignore
+/// pto_sim::counters! {
+///     /// Doc of the snapshot struct.
+///     pub struct FooSnapshot, block FooBlock, slot ctx::SLOT_FOO, global GLOBAL {
+///         /// Doc of one counter.
+///         hits,
+///         misses,
+///     }
+/// }
+/// ```
+///
+/// This generates the snapshot struct (one `pub u64` per field) with
+/// field-wise saturating `delta` and summing `merge`, the atomic block
+/// (one cache-padded counter per field, private to the calling module)
+/// and its [`Block`] impl. With `global NAME`, a process-global block
+/// `static NAME` is declared and returned by [`Block::global`].
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $snap:ident, block $block:ident, slot $slot:path $(, global $global:ident)? {
+            $( $(#[$fmeta:meta])* $field:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $snap {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $snap {
+            /// The events recorded since `before` was taken: field-wise
+            /// saturating subtraction, so a reset in between never
+            /// underflows.
+            pub fn delta(&self, before: &$snap) -> $snap {
+                $snap { $( $field: self.$field.saturating_sub(before.$field), )* }
+            }
+
+            /// Field-wise sum (for aggregating several scopes).
+            pub fn merge(&self, other: &$snap) -> $snap {
+                $snap { $( $field: self.$field + other.$field, )* }
+            }
+        }
+
+        #[doc = concat!("The live counters behind [`", stringify!($snap), "`].")]
+        pub struct $block {
+            $( $field: $crate::stats::Counter, )*
+        }
+
+        impl $block {
+            const fn new() -> Self {
+                $block { $( $field: $crate::stats::Counter::new(), )* }
+            }
+        }
+
+        impl Default for $block {
+            fn default() -> Self {
+                Self::new()
+            }
+        }
+
+        $( static $global: $block = $block::new(); )?
+
+        impl $crate::probe::Block for $block {
+            type Snapshot = $snap;
+            const SLOT: usize = $slot;
+            fn snapshot(&self) -> $snap {
+                $snap { $( $field: self.$field.get(), )* }
+            }
+            fn absorb(&self, totals: &$snap) {
+                $( self.$field.add(totals.$field); )*
+            }
+            $(
+                fn global() -> Option<&'static Self> {
+                    Some(&$global)
+                }
+            )?
+        }
+    };
+}
+
+#[cfg(test)]
+mod counter_scope_tests {
+    use super::{count, Block, Scope};
+    use crate::ctx;
+
+    // A kind only these tests use, in a slot no `pto-sim` code uses. Each
+    // test counts into its own field, so the global's value for that field
+    // is exactly what that test flushed, however the tests interleave.
+    crate::counters! {
+        pub struct Counts, block Counted, slot ctx::SLOT_LAT, global GLOBAL {
+            outside,
+            flushed,
+            nested,
+            concurrent,
+            lanes,
+            jobs,
+        }
+    }
+
+    fn bump(f: impl FnOnce(&Counted)) {
+        count::<Counted>(f);
+    }
+
+    #[test]
+    fn records_land_in_the_scope_and_flush_into_the_global_on_drop() {
+        bump(|c| c.outside.inc());
+        assert_eq!(GLOBAL.snapshot().outside, 1, "no scope: the global counts");
+        {
+            let scope = Scope::<Counted>::new();
+            bump(|c| c.flushed.add(3));
+            assert_eq!(scope.snapshot().flushed, 3);
+            assert_eq!(GLOBAL.snapshot().flushed, 0, "a live scope keeps its records");
+        }
+        assert_eq!(GLOBAL.snapshot().flushed, 3);
+        assert!(!ctx::is_set(ctx::SLOT_LAT), "drop must restore the empty slot");
+    }
+
+    #[test]
+    fn a_nested_scope_shadows_the_outer_one_until_it_drops() {
+        let outer = Scope::<Counted>::new();
+        bump(|c| c.nested.inc());
+        {
+            let inner = Scope::<Counted>::new();
+            bump(|c| c.nested.add(10));
+            assert_eq!(inner.snapshot().nested, 10);
+        }
+        bump(|c| c.nested.add(100));
+        assert_eq!(outer.snapshot().nested, 101, "the inner scope's records stay out");
+        assert_eq!(GLOBAL.snapshot().nested, 10, "the inner scope flushed on drop");
+        drop(outer);
+        assert_eq!(GLOBAL.snapshot().nested, 111);
+    }
+
+    #[test]
+    fn concurrent_scopes_do_not_bleed() {
+        // Every scope is live while any thread counts.
+        let (installed, counted) = (std::sync::Barrier::new(4), std::sync::Barrier::new(4));
+        std::thread::scope(|s| {
+            for n in 1..=4u64 {
+                let (installed, counted) = (&installed, &counted);
+                s.spawn(move || {
+                    let scope = Scope::<Counted>::new();
+                    installed.wait();
+                    bump(|c| c.concurrent.add(n));
+                    counted.wait();
+                    assert_eq!(scope.snapshot().concurrent, n, "foreign records leaked in");
+                });
+            }
+        });
+        assert_eq!(GLOBAL.snapshot().concurrent, 1 + 2 + 3 + 4);
+    }
+
+    #[test]
+    fn sim_lanes_and_par_jobs_record_into_the_spawners_scope() {
+        let scope = Scope::<Counted>::new();
+        crate::Sim::new(4).run(|_| bump(|c| c.lanes.inc()));
+        crate::par::map_cells((0..6).collect(), |_: u64| bump(|c| c.jobs.inc()));
+        let s = scope.snapshot();
+        assert_eq!((s.lanes, s.jobs), (4, 6));
+        let g = GLOBAL.snapshot();
+        assert_eq!((g.lanes, g.jobs), (0, 0));
+        drop(scope);
+        let g = GLOBAL.snapshot();
+        assert_eq!((g.lanes, g.jobs), (4, 6));
+    }
+
+    #[test]
+    fn snapshot_delta_saturates_and_merge_sums() {
+        let a = Counts {
+            outside: 5,
+            flushed: 2,
+            ..Default::default()
+        };
+        let b = Counts {
+            outside: 9,
+            flushed: 2,
+            nested: 7,
+            ..Default::default()
+        };
+        let d = b.delta(&a);
+        assert_eq!((d.outside, d.flushed, d.nested), (4, 0, 7));
+        // A reset between snapshots never underflows.
+        assert_eq!(a.delta(&b), Counts::default());
+        let m = a.merge(&b);
+        assert_eq!((m.outside, m.flushed, m.nested), (14, 4, 7));
     }
 }
 
