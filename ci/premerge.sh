@@ -37,14 +37,15 @@ timeout 30 cargo run -q --release -p pto-bench --bin bank_transfer -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin order_book -- --smoke
 timeout 30 cargo run -q --release -p pto-bench --bin compose_smoke -- --smoke
 
-echo "== unit tests: sim, htm, mem, session consumers, the executor, 64-lane goldens"
+echo "== unit tests: sim, htm, mem, hashtable, session consumers, the executor, 64-lane goldens"
 # The unit tests of pto-sim (gate invariants up to 256 lanes, the one-step
 # minimum-lane wait rule, observer parking, the counter-scope contract),
-# pto-htm and pto-mem (their counter kinds), pto-check and pto-bench (the
-# history decoder and explorer, the cell runner's scopes); all of pto-core
-# (executor unit tests, doctests, and the 2-lane composed-anchor waits);
-# and the 64-lane Haswell/NumaIsh golden pair.
-cargo test -q --lib -p pto-sim -p pto-htm -p pto-mem -p pto-check -p pto-bench
+# pto-htm and pto-mem (their counter kinds), pto-hashtable (the bucket
+# hash's split invariant and growth bounds, resize races), pto-check and
+# pto-bench (the history decoder and explorer, the cell runner's scopes);
+# all of pto-core (executor unit tests, doctests, and the 2-lane
+# composed-anchor waits); and the 64-lane Haswell/NumaIsh golden pair.
+cargo test -q --lib -p pto-sim -p pto-htm -p pto-mem -p pto-hashtable -p pto-check -p pto-bench
 cargo test -q -p pto-core
 cargo test -q --test golden_makespan golden_lane_private_64lane
 

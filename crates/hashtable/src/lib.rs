@@ -25,6 +25,16 @@
 //!
 //! Bucket word layout: `[count:29][array idx:32][frozen:1]`; bucket
 //! generations live in an append-only registry so readers never lock.
+//!
+//! The bucket of key `k` in a table of `n` buckets is the Fibonacci
+//! product `k · 0x9E37_79B9_7F4A_7C15`, bit-reversed and masked to its low
+//! `log2 n` bits. Reversal moves the product's best-mixed top bits to the
+//! bottom, and the low-bit mask keeps the split invariant that migration
+//! relies on: `hash(k, 2n) & (n - 1) == hash(k, n)`, so a grow splits
+//! bucket `b` into `b` and `b + n` and a shrink merges them back.
+//! Split-ordered lists (Shalev & Shavit) use the same reversal. A hash
+//! that keeps the product's bits 32 and up mixes 16-bit keys poorly; one
+//! that keeps its plain top bits breaks the invariant and loses keys.
 
 use pto_sim::sync::Mutex;
 use pto_core::compose::Anchor;
@@ -189,9 +199,12 @@ impl FSetHashTable {
         (g, self.gen_buckets(g))
     }
 
+    /// Bucket of `k` among `nbuckets` (a power of two); the crate docs
+    /// say why the product is bit-reversed. [`Self::migrate`] relies on
+    /// `hash(k, 2n) & (n - 1) == hash(k, n)`.
     #[inline]
     fn hash(k: u32, nbuckets: usize) -> usize {
-        ((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (nbuckets - 1)
+        (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).reverse_bits() as usize & (nbuckets - 1)
     }
 
     /// Scan array `arr` (NIL = empty) for `k`; plain loads.
@@ -1091,6 +1104,63 @@ mod tests {
             }
         }
         assert_eq!(t.len(), count, "len/contains disagree after resize races");
+    }
+
+    #[test]
+    fn doubling_splits_each_bucket_by_its_low_bits() {
+        // migrate() splits bucket b into b and b + n on a grow and merges
+        // them back on a shrink, so a key's bucket at 2n, masked to n,
+        // must be its bucket at n.
+        let mut rng = XorShift64::new(17);
+        let keys: Vec<u32> = (0..2_048)
+            .chain((0..2_048).map(|_| rng.below(u32::MAX as u64) as u32))
+            .collect();
+        for shift in 1..32 {
+            let n = 1usize << shift;
+            for &k in &keys {
+                assert_eq!(
+                    FSetHashTable::hash(k, 2 * n) & (n - 1),
+                    FSetHashTable::hash(k, n),
+                    "key {k} leaves its bucket when {n} buckets double"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_arithmetic_key_run_does_not_share_a_bucket() {
+        // A hash that keeps the product's bits 32 and up puts these nine
+        // keys in one bucket at every size from 8,192 to 65,536, so their
+        // inserts alone double a 1,024-bucket table seven times.
+        for v in VARIANTS {
+            let t = FSetHashTable::new(v, 1024);
+            for i in 0..9 {
+                assert!(t.insert(9_088 + 7_037 * i), "{v:?}");
+            }
+            assert_eq!(t.bucket_count(), 1024, "{v:?} grew for nine keys");
+            assert_eq!(t.len(), 9, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn a_random_half_of_a_dense_range_grows_at_most_16x() {
+        // The Fig 4 prefill: half of [0, 65,536) into 1,024 buckets. A
+        // well-mixed hash stops at 8,192 or 16,384 buckets, an average of
+        // 4 or 2 keys per bucket of capacity 8.
+        let mut rng = XorShift64::new(7);
+        let mut keys: Vec<u64> = (0..65_536).collect();
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        keys.truncate(32_768);
+        for v in VARIANTS {
+            let t = FSetHashTable::new(v, 1024);
+            for &k in &keys {
+                assert!(t.insert(k), "{v:?} insert {k}");
+            }
+            assert!(t.bucket_count() <= 16_384, "{v:?} grew to {}", t.bucket_count());
+            assert_eq!(t.len(), 32_768, "{v:?}");
+        }
     }
 
     #[test]

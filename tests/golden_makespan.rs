@@ -535,9 +535,14 @@ const GOLDEN_BST_ADAPTIVE: Golden = (165066, 499, 499, 0, 0, 0, 0, 0);
 const GOLDEN_MIDDLE_PATH_WORD: Golden = (4418, 82, 40, 2, 0, 0, 0, 40);
 // Composed goldens (PR 10): recorded on the tree that introduced
 // `pto_core::compose`; regenerate with PTO_GOLDEN_PRINT=1 if the compose
-// wrapper's charged costs change on purpose.
-const GOLDEN_COMPOSED_TRANSFER_HEAVY: Golden = (47108, 584, 431, 0, 0, 153, 0, 0);
-const GOLDEN_COMPOSED_POP_INSERT: Golden = (96859, 472, 256, 0, 0, 216, 0, 0);
+// wrapper's charged costs change on purpose. They are also the only
+// goldens that build an `FSetHashTable`, so they pin its bucket placement
+// and move with its bucket hash. In pop+insert, `tx_compose_update` sends
+// a first insert into an empty bucket to the fallback with an explicit
+// abort, so the makespan tracks how many of the 256 buckets the queue's
+// sequential values reach.
+const GOLDEN_COMPOSED_TRANSFER_HEAVY: Golden = (45606, 574, 437, 0, 0, 137, 0, 0);
+const GOLDEN_COMPOSED_POP_INSERT: Golden = (111511, 509, 219, 0, 0, 290, 0, 0);
 // Executor paths the goldens above miss: TLE's elide and lock paths,
 // static exponential backoff under chaos, the BST's inner PTO2 stage, and
 // the TLE Mindicator.
